@@ -177,28 +177,24 @@ def _answer_exit(answer: Answer, remap: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_solve(args) -> int:
+def _solve_command(args, command: str, engine: str, solve) -> int:
+    """Run ``solve(inst, trace)`` with the ``--trace`` file open and report.
+
+    ``solve`` returns the result and its budget mode; only the
+    decomposition-guided engine has a mode, and only it reports the size of
+    its search in the text output.
+    """
     inst = _load(args.path, args.ell)
     handle, trace = _open_trace(args.trace)
     try:
-        if args.budget is not None:
-            mode = "fixed"
-            result = solve_imba(inst, args.budget, trace=trace)
-        elif args.oracle_k:
-            mode = "oracle-k"
-            report = parameters(inst.graph, inst.ell, cap=args.cap)
-            result = solve_auto(inst, trusted_budget=max(0, report.budget), trace=trace)
-        else:
-            mode = "auto"
-            result = solve_auto(inst, trace=trace)
+        result, mode = solve(inst, trace)
     finally:
         if handle:
             handle.close()
     doc = {
-        "command": "solve",
+        "command": command,
         "instance": args.path,
-        "engine": "imba",
-        "budget_mode": mode,
+        "engine": engine,
         "n": inst.graph.vertex_count,
         "m": inst.graph.edge_count,
         "ell": inst.ell,
@@ -210,38 +206,32 @@ def _cmd_solve(args) -> int:
     if result.certificate is not None:
         pairs = " ".join(f"{u}-{v}" for u, v in sorted(result.certificate))
         lines.append(f"certificate: {pairs}")
-    lines.append(
-        f"nodes: {result.stats.nodes_visited}  max-depth: {result.stats.max_depth}"
-    )
+    if mode is not None:
+        doc["budget_mode"] = mode
+        lines.append(
+            f"nodes: {result.stats.nodes_visited}  max-depth: {result.stats.max_depth}"
+        )
     _emit(doc, args.json, lines)
     return _answer_exit(result.answer, args.answer_status)
+
+
+def _cmd_solve(args) -> int:
+    def solve(inst, trace):
+        if args.budget is not None:
+            return solve_imba(inst, args.budget, trace=trace), "fixed"
+        if args.oracle_k:
+            report = parameters(inst.graph, inst.ell, cap=args.cap)
+            budget = max(0, report.budget)
+            return solve_auto(inst, trusted_budget=budget, trace=trace), "oracle-k"
+        return solve_auto(inst, trace=trace), "auto"
+
+    return _solve_command(args, "solve", "imba", solve)
 
 
 def _cmd_solve_tg(args) -> int:
-    inst = _load(args.path, args.ell)
-    handle, trace = _open_trace(args.trace)
-    try:
-        result = solve_imbtg(inst, trace=trace)
-    finally:
-        if handle:
-            handle.close()
-    doc = {
-        "command": "solve-tg",
-        "instance": args.path,
-        "engine": "imbtg",
-        "n": inst.graph.vertex_count,
-        "m": inst.graph.edge_count,
-        "ell": inst.ell,
-        "answer": result.answer.value,
-        "certificate": _certificate_doc(result.certificate),
-        "stats": _stats_doc(result.stats),
-    }
-    lines = [f"answer: {result.answer.value}"]
-    if result.certificate is not None:
-        pairs = " ".join(f"{u}-{v}" for u, v in sorted(result.certificate))
-        lines.append(f"certificate: {pairs}")
-    _emit(doc, args.json, lines)
-    return _answer_exit(result.answer, args.answer_status)
+    return _solve_command(
+        args, "solve-tg", "imbtg", lambda inst, trace: (solve_imbtg(inst, trace=trace), None)
+    )
 
 
 def _cmd_oracle(args) -> int:

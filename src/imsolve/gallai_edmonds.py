@@ -7,9 +7,11 @@
 * ``c``: everything else,
 
 together with the connected components of the subgraph induced by ``d``.
-Membership in ``d`` is decided by the definitional test (does deleting the
-vertex keep the matching number?), warm-started from one precomputed
-maximum matching so that each vertex costs a single augmenting-path search.
+``d`` is read off one alternating forest: given any maximum matching, the
+vertices missed by some maximum matching are exactly those reachable from an
+exposed vertex by an even alternating path, i.e. the outer vertices of the
+Edmonds forest grown from all exposed vertices at once (Edmonds 1965;
+Lovasz and Plummer, *Matching Theory*, ch. 3).
 
 ``audit`` re-derives the classical structural guarantees of the
 decomposition (factor-critical components, perfectly matched remainder,
@@ -28,8 +30,8 @@ from .errors import AuditTooLargeError
 from .graph import Graph, sort_labels
 from .matching import (
     _View,
-    _find_augmenting_path,
     _maximum_matching_indices,
+    _search,
     has_perfect_matching,
     is_factor_critical,
     maximum_matching,
@@ -45,35 +47,18 @@ class GEDecomposition:
     c: frozenset
     d_components: tuple
 
-    def component_of(self, v) -> frozenset:
-        for comp in self.d_components:
-            if v in comp:
-                return comp
-        raise KeyError(v)
-
 
 def decompose(g: Graph) -> GEDecomposition:
     """Compute the decomposition of ``g``.
 
-    A vertex belongs to ``d`` iff deleting it leaves the maximum matching
-    size unchanged.  With a maximum matching in hand, that holds for every
-    unmatched vertex outright, and for a matched vertex exactly when its
-    mate can be rematched by an augmenting path that avoids the vertex.
+    ``d`` is the set of outer vertices of the alternating forest grown from
+    every vertex left exposed by one maximum matching; a single search, as
+    the matching is maximum and so the forest never augments.
     """
     view = _View(g)
-    n = len(view.labels)
     match = _maximum_matching_indices(view.adj)
-    missed = set(i for i in range(n) if match[i] == -1)
-    for i in range(n):
-        if match[i] == -1:
-            continue
-        probe = match[:]
-        mate = probe[i]
-        probe[i] = -1
-        probe[mate] = -1
-        if _find_augmenting_path(view.adj, probe, mate, banned=i):
-            missed.add(i)
-    d = frozenset(view.labels[i] for i in missed)
+    outer = _search(view.adj, match, [i for i, m in enumerate(match) if m == -1])
+    d = frozenset(v for v, o in zip(view.labels, outer) if o)
     a = g.neighborhood_of_set(d)
     c = frozenset(g.vertices) - d - a
     comps = g.induced(d).connected_components()

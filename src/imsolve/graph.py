@@ -118,9 +118,6 @@ class Graph:
     def __contains__(self, v) -> bool:
         return v in self._adj
 
-    def has_vertex(self, v) -> bool:
-        return v in self._adj
-
     def has_edge(self, u, v) -> bool:
         nbrs = self._adj.get(u)
         return nbrs is not None and v in nbrs
@@ -291,9 +288,9 @@ def verify_induced_matching(g: Graph, matching) -> bool:
     """
     edges = [edge(u, v) for (u, v) in matching]
     for u, v in edges:
-        if not g.has_vertex(u):
+        if u not in g:
             raise UnknownEndpointError(f"unknown endpoint {u!r}")
-        if not g.has_vertex(v):
+        if v not in g:
             raise UnknownEndpointError(f"unknown endpoint {v!r}")
     covered = set()
     for u, v in edges:

@@ -438,7 +438,7 @@ def reduce_multicolored_is(g: Graph, cliques) -> Instance:
     edges = list(g.edges())
     for i, part in enumerate(parts, start=1):
         apex = f"v{i}"
-        if g.has_vertex(apex):
+        if apex in g:
             raise ValueError(f"label {apex!r} already exists; cannot add apexes")
         labels.append(apex)
         edges.extend((apex, x) for x in sort_labels(part))

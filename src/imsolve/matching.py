@@ -61,27 +61,33 @@ def _augment_from(match, parent, v):
         v = nxt
 
 
-def _find_augmenting_path(adj, match, root, banned=-1):
-    """Grow an alternating tree from ``root``; augment and report success.
+def _search(adj, match, roots):
+    """Grow an alternating forest from the exposed vertices ``roots``.
 
-    ``banned`` marks one vertex index as deleted (used for the per-vertex
-    tests of the Gallai-Edmonds decomposition).  On failure ``match`` is
-    left untouched.
+    If the forest reaches an exposed vertex outside it, augment along that
+    path and return None.  Otherwise ``match`` is left untouched and the
+    outer marks are returned: ``outer[i]`` is True iff ``i`` is reachable
+    from a root by an even alternating path (blossoms included).
     """
     n = len(adj)
     parent = [-1] * n
     base = list(range(n))
-    used = [False] * n
-    used[root] = True
-    queue = deque([root])
+    outer = [False] * n
+    for r in roots:
+        outer[r] = True
+    queue = deque(roots)
     while queue:
         v = queue.popleft()
         for to in adj[v]:
-            if to == banned:
-                continue
             if base[v] == base[to] or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+            # Several roots come only with a maximum matching, so two trees
+            # never meet at outer vertices (that edge would close an
+            # augmenting path).  An exposed outer ``to`` is then this tree's
+            # root, and blossom bases never cross trees.
+            if (match[to] == -1 and outer[to]) or (
+                match[to] != -1 and parent[match[to]] != -1
+            ):
                 # Odd cycle found: contract the blossom into its base.
                 stop = _lowest_common_base(match, parent, base, v, to)
                 path_mark = [False] * n
@@ -90,17 +96,17 @@ def _find_augmenting_path(adj, match, root, banned=-1):
                 for i in range(n):
                     if path_mark[base[i]]:
                         base[i] = stop
-                        if not used[i]:
-                            used[i] = True
+                        if not outer[i]:
+                            outer[i] = True
                             queue.append(i)
             elif parent[to] == -1:
                 parent[to] = v
                 if match[to] == -1:
                     _augment_from(match, parent, to)
-                    return True
-                used[match[to]] = True
+                    return None
+                outer[match[to]] = True
                 queue.append(match[to])
-    return False
+    return outer
 
 
 def _maximum_matching_indices(adj):
@@ -115,7 +121,7 @@ def _maximum_matching_indices(adj):
                     break
     for v in range(n):
         if match[v] == -1:
-            _find_augmenting_path(adj, match, v)
+            _search(adj, match, [v])
     return match
 
 
@@ -128,10 +134,6 @@ def maximum_matching(g: Graph) -> frozenset:
         for i in range(len(match))
         if match[i] > i
     )
-
-
-def matching_size(g: Graph) -> int:
-    return len(maximum_matching(g))
 
 
 def has_perfect_matching(g: Graph) -> bool:

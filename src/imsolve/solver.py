@@ -47,7 +47,6 @@ class Rule(str, Enum):
     FOUR_PATH = "four-path"
     DEGREE_TWO = "degree-two"
     NAIVE = "naive"
-    NAIVE_PAIR = "naive-pair"
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ class BranchChoice:
     Actor keys by rule:
       c-vertex / degree-two / naive: v (the branch vertex), u, w (two of
         its neighbors);
-      a-edge / naive-pair: u, v (adjacent);
+      a-edge: u, v (adjacent);
       triangle: u, v, w (the triangle), ua, va (separator neighbors of u
         and v);
       triangle-star: u, v (outer vertices of two distinct pendant
@@ -212,68 +211,73 @@ def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
                 "va": _smallest_neighbor_in(g, v, dec.a),
             },
         )
+    long_comp = None
     for comp in dec.d_components:
-        if len(comp) >= 5 and is_triangle_star(g, comp):
-            _, pairs = triangle_star_parts(g, comp)
-            # Outer vertices of distinct pendant triangles are nonadjacent;
-            # after exhausting the pendant-triangle reduction, each pair has
-            # a member with a separator neighbor.
-            anchored = []
-            for pair_index, pair in enumerate(pairs):
-                for x in pair:
-                    if _smallest_neighbor_in(g, x, dec.a) is not None:
-                        anchored.append((x, pair_index, pair))
-            anchored.sort(key=lambda t: label_key(t[0]))
-            if not anchored:
-                raise PreconditionViolatedError(
-                    "triangle-star component with no separator neighbors"
-                )
-            u, u_pair_index, u_pair = anchored[0]
-            rest = [t for t in anchored if t[1] != u_pair_index]
-            if not rest:
-                raise PreconditionViolatedError(
-                    "triangle-star component with separator contact in only "
-                    "one pendant triangle"
-                )
-            v, _, v_pair = rest[0]
-            uc = u_pair[0] if u_pair[1] == u else u_pair[1]
-            vc = v_pair[0] if v_pair[1] == v else v_pair[1]
-            return BranchChoice(
-                Rule.TRIANGLE_STAR,
-                {
-                    "u": u,
-                    "v": v,
-                    "ua": _smallest_neighbor_in(g, u, dec.a),
-                    "va": _smallest_neighbor_in(g, v, dec.a),
-                    "uc": uc,
-                    "vc": vc,
-                },
+        if len(comp) < 5:
+            continue
+        if not is_triangle_star(g, comp):
+            if long_comp is None:
+                long_comp = comp
+            continue
+        _, pairs = triangle_star_parts(g, comp)
+        # Outer vertices of distinct pendant triangles are nonadjacent;
+        # after exhausting the pendant-triangle reduction, each pair has
+        # a member with a separator neighbor.
+        anchored = []
+        for pair_index, pair in enumerate(pairs):
+            for x in pair:
+                if _smallest_neighbor_in(g, x, dec.a) is not None:
+                    anchored.append((x, pair_index, pair))
+        anchored.sort(key=lambda t: label_key(t[0]))
+        if not anchored:
+            raise PreconditionViolatedError(
+                "triangle-star component with no separator neighbors"
             )
-    for comp in dec.d_components:
-        if len(comp) >= 5 and not is_triangle_star(g, comp):
-            path = find_path4(g, comp)
-            if path is None:
-                raise PreconditionViolatedError(
-                    "large factor-critical component without a 4-vertex path"
-                )
-            u, v, w, x = path
-            vp, v1, v2 = find_degree2_survivor(g, comp, v)
-            wp, w1, w2 = find_degree2_survivor(g, comp, w)
-            return BranchChoice(
-                Rule.FOUR_PATH,
-                {
-                    "u": u,
-                    "v": v,
-                    "w": w,
-                    "x": x,
-                    "vp": vp,
-                    "v1": v1,
-                    "v2": v2,
-                    "wp": wp,
-                    "w1": w1,
-                    "w2": w2,
-                },
+        u, u_pair_index, u_pair = anchored[0]
+        rest = [t for t in anchored if t[1] != u_pair_index]
+        if not rest:
+            raise PreconditionViolatedError(
+                "triangle-star component with separator contact in only "
+                "one pendant triangle"
             )
+        v, _, v_pair = rest[0]
+        uc = u_pair[0] if u_pair[1] == u else u_pair[1]
+        vc = v_pair[0] if v_pair[1] == v else v_pair[1]
+        return BranchChoice(
+            Rule.TRIANGLE_STAR,
+            {
+                "u": u,
+                "v": v,
+                "ua": _smallest_neighbor_in(g, u, dec.a),
+                "va": _smallest_neighbor_in(g, v, dec.a),
+                "uc": uc,
+                "vc": vc,
+            },
+        )
+    if long_comp is not None:
+        path = find_path4(g, long_comp)
+        if path is None:
+            raise PreconditionViolatedError(
+                "large factor-critical component without a 4-vertex path"
+            )
+        u, v, w, x = path
+        vp, v1, v2 = find_degree2_survivor(g, long_comp, v)
+        wp, w1, w2 = find_degree2_survivor(g, long_comp, w)
+        return BranchChoice(
+            Rule.FOUR_PATH,
+            {
+                "u": u,
+                "v": v,
+                "w": w,
+                "x": x,
+                "vp": vp,
+                "v1": v1,
+                "v2": v2,
+                "wp": wp,
+                "w1": w1,
+                "w2": w2,
+            },
+        )
     for v in g.vertices:
         if g.degree(v) >= 2:
             u, w = sort_labels(g.neighbors(v))[:2]
@@ -309,7 +313,7 @@ def expand(inst: Instance, choice: BranchChoice) -> list:
         deletions = [{a["v"]}, {a["u"]}, {a["w"]}]
     elif rule is Rule.NAIVE:
         deletions = [{a["u"]}, {a["v"]}, {a["w"]}]
-    elif rule in (Rule.A_EDGE, Rule.NAIVE_PAIR):
+    elif rule is Rule.A_EDGE:
         hood = g.neighborhood_of_set({a["u"], a["v"]})
         if not hood:
             raise PreconditionViolatedError(

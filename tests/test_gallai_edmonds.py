@@ -55,9 +55,15 @@ def test_decompose_is_stable():
 
 
 def test_decompose_matches_naive_definitional_test():
-    # dual route for the warm-started membership test: recompute a maximum
-    # matching from scratch for every single-vertex deletion
-    for g in random_graphs(250, seed0=7):
+    # dual route for the alternating-forest membership test: recompute a
+    # maximum matching from scratch for every single-vertex deletion.  The
+    # sparse graphs leave many vertices exposed, so the forest has many trees.
+    sparse = [
+        im.gen_random(n, c / n, 100 * n + i)
+        for n in range(20, 41)
+        for i, c in enumerate((1, 1.5, 2, 2.5, 3))
+    ]
+    for g in random_graphs(250, seed0=7) + sparse:
         mm = len(im.maximum_matching(g))
         missable = frozenset(
             v
