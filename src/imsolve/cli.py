@@ -64,13 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cap=False, js=True):
+    def add_common(p, cap=False):
         if cap:
             p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                            help="vertex cap for brute-force computations")
-        if js:
-            p.add_argument("--json", action="store_true",
-                           help="emit one JSON document instead of text")
+        p.add_argument("--json", action="store_true",
+                       help="emit one JSON document instead of text")
 
     p = sub.add_parser("solve", help="run the decomposition-guided solver")
     p.add_argument("path")

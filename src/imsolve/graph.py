@@ -44,8 +44,9 @@ class LocalFeatures(NamedTuple):
     """Degree-local structure consumed by the reduction rules.
 
     ``pendant_triangles`` lists triples ``(u, v, w)`` where ``u`` and ``w``
-    have degree exactly 2 in the whole graph; ``v`` is the vertex that
-    survives when the triangle is reduced away.
+    have degree exactly 2 in the whole graph; ``v`` is the vertex that the
+    pendant-triangle rule deletes, which leaves ``u``-``w`` as an isolated
+    edge.
     """
 
     isolated_vertices: tuple
@@ -224,7 +225,7 @@ class Graph:
 
         Degrees are taken in the whole graph.  A triangle with all three
         degrees equal to 2 (an isolated triangle) is reported with its
-        smallest vertex as the survivor.
+        smallest vertex as ``v``, the one the reduction deletes.
         """
         adj = self._adj
         isolated = tuple(v for v in self._sorted if not adj[v])

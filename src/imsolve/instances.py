@@ -9,7 +9,9 @@ File format (DIMACS-flavored, bit-exact when written by this module):
 with 1-based vertex indices, LF line endings and single spaces.  The
 target rides in the header so an instance is a single file.  Reading is
 lenient about comments and blank lines; writing is canonical (sorted
-edges, no comments), so write(read(text)) normalizes.
+edges, no comments), so write(read(text)) normalizes.  A header that
+declares more than ``MAX_VERTICES`` vertices is refused before any vertex
+is built.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .errors import (
 )
 from .graph import Graph, edge, label_key, sort_labels
 from .kernel import Instance
+
+MAX_VERTICES = 1_000_000
 
 # -- shared fixtures ----------------------------------------------------------
 
@@ -110,6 +114,10 @@ def read_instance(text: str) -> Instance:
                 raise ParseError("header fields must be integers", lineno) from None
             if n < 0 or m < 0 or ell < 0:
                 raise ParseError("header fields must be nonnegative", lineno)
+            if n > MAX_VERTICES:
+                raise ParseError(
+                    f"header declares {n} vertices, more than {MAX_VERTICES}", lineno
+                )
             header = (n, m, ell)
         elif tokens[0] == "e":
             if header is None:

@@ -1,7 +1,6 @@
 """Reduction rules and termination tests for the branch-and-reduce search.
 
-Three rules are applied exhaustively, smallest label first, re-checked in a
-fixed order after every single application:
+Three rules are applied exhaustively, smallest label first:
 
 * ``isolated-vertex``: delete a vertex of degree 0;
 * ``isolated-edge``: delete an edge whose endpoints both have degree 1,
@@ -9,6 +8,14 @@ fixed order after every single application:
   while the target is positive);
 * ``pendant-triangle``: for a triangle (u, v, w) with deg(u) = deg(w) = 2,
   delete v.
+
+The rules work in rounds.  Each round takes one scan of the graph's local
+features and applies every isolated-vertex step it lists, then every
+isolated-edge step, then at most the first pendant-triangle step.  Deleting
+an isolated vertex or edge changes no other vertex's degree, so a round
+makes the same steps, in the same order, as applying one rule at a time
+and rescanning after each.  Only the pendant-triangle step can create new
+features, which the next round picks up.
 
 Every application is recorded in a trace so tests can replay the exact
 deletion sequence step by step.
@@ -54,7 +61,7 @@ class ReductionTrace:
 
 
 def reduce_instance(inst: Instance, *, pendant_triangles: bool = True):
-    """Apply the reduction rules exhaustively.
+    """Apply the reduction rules exhaustively, one feature scan per round.
 
     Returns ``(reduced, harvested, trace)`` where ``harvested`` is the set
     of isolated edges folded into the certificate.  With
@@ -67,27 +74,24 @@ def reduce_instance(inst: Instance, *, pendant_triangles: bool = True):
     harvested = set()
     while True:
         feats = g.local_features()
-        if feats.isolated_vertices:
-            v = feats.isolated_vertices[0]
-            g = g.delete_vertices({v})
+        doomed = set(feats.isolated_vertices)
+        for v in feats.isolated_vertices:
             steps.append(ReductionStep(RULE_ISOLATED_VERTEX, (v,), None))
-            continue
-        if feats.isolated_edges:
-            u, v = feats.isolated_edges[0]
-            g = g.delete_vertices({u, v})
+        for e in feats.isolated_edges:
+            doomed.update(e)
             if ell > 0:
                 ell -= 1
-                harvested.add((u, v))
-                steps.append(ReductionStep(RULE_ISOLATED_EDGE, (u, v), (u, v)))
+                harvested.add(e)
+                steps.append(ReductionStep(RULE_ISOLATED_EDGE, e, e))
             else:
-                steps.append(ReductionStep(RULE_ISOLATED_EDGE, (u, v), None))
-            continue
+                steps.append(ReductionStep(RULE_ISOLATED_EDGE, e, None))
         if pendant_triangles and feats.pendant_triangles:
             _, v, _ = feats.pendant_triangles[0]
-            g = g.delete_vertices({v})
+            doomed.add(v)
             steps.append(ReductionStep(RULE_PENDANT_TRIANGLE, (v,), None))
-            continue
-        break
+        if not doomed:
+            break
+        g = g.delete_vertices(doomed)
     return Instance(g, ell), frozenset(harvested), ReductionTrace(tuple(steps))
 
 

@@ -14,7 +14,7 @@ number reaches the average of matching number and independence number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .errors import DisconnectedError, TooLargeError
@@ -255,68 +255,52 @@ def is_star(g: Graph) -> bool:
     return degs[-1] == n - 1 and all(d == 1 for d in degs[:-1])
 
 
-def is_triangle_star(g: Graph, vertices=None) -> bool:
-    """Whether ``g`` (or the subgraph induced by ``vertices``) is a triangle
-    star: a triangle with any number of further pendant triangles attached
-    to one shared center.
+def triangle_star_parts(g: Graph, vertices=None):
+    """Center and pendant pairs of a triangle star, or None for any other
+    graph.
 
-    Detection: it is a plain triangle, or it has a unique vertex of degree
-    at least 3 whose removal leaves a disjoint union of edges, all of whose
-    endpoints are adjacent to that vertex.
+    A triangle star is a triangle with any number of further pendant
+    triangles attached to one shared center; the test applies to ``g`` or
+    to the subgraph induced by ``vertices``.  It is a plain triangle (whose
+    smallest vertex is taken as the center), or it has a unique vertex of
+    degree at least 3 whose removal leaves a disjoint union of edges, all
+    of whose endpoints are adjacent to that vertex.  Pairs come out sorted:
+    each is ``(x, partner)`` for the smallest vertex ``x`` not yet paired.
     """
     sub = g if vertices is None else g.induced(vertices)
     n = sub.vertex_count
     if n < 3 or n % 2 == 0:
-        return False
+        return None
     if n == 3:
-        vs = sub.vertices
-        return sub.degree(vs[0]) == 2 and sub.degree(vs[1]) == 2 and sub.degree(vs[2]) == 2
+        if sub.edge_count != 3:
+            return None
+        center, a, b = sub.vertices
+        return center, ((a, b),)
     centers = [v for v in sub.vertices if sub.degree(v) >= 3]
     if len(centers) != 1:
-        return False
-    center = centers[0]
+        return None
+    (center,) = centers
+    pairs = []
     paired = set()
     for x in sub.vertices:
         if x == center or x in paired:
             continue
         nbrs = sub.neighbors(x)
         if len(nbrs) != 2 or center not in nbrs:
-            return False
+            return None
+        # partner is not the center, so its degree is at most 2
         (partner,) = nbrs - {center}
-        if partner == center or partner in paired:
-            return False
-        pn = sub.neighbors(partner)
-        if len(pn) != 2 or center not in pn or x not in pn:
-            return False
-        paired.add(x)
-        paired.add(partner)
-    return True
-
-
-def triangle_star_parts(g: Graph, vertices=None):
-    """Center and pendant pairs of a triangle star, deterministically ordered.
-
-    For a bare triangle the smallest vertex is taken as the center.
-    """
-    sub = g if vertices is None else g.induced(vertices)
-    if not is_triangle_star(sub):
-        raise ValueError("not a triangle star")
-    if sub.vertex_count == 3:
-        center = sub.vertices[0]
-        rest = [v for v in sub.vertices if v != center]
-        return center, ((rest[0], rest[1]),)
-    center = next(v for v in sub.vertices if sub.degree(v) >= 3)
-    pairs = []
-    done = set()
-    for x in sub.vertices:
-        if x == center or x in done:
-            continue
-        (partner,) = sub.neighbors(x) - {center}
-        pairs.append((x, partner) if label_key(x) < label_key(partner) else (partner, x))
-        done.add(x)
-        done.add(partner)
-    pairs.sort(key=lambda p: label_key(p[0]))
+        if center not in sub.neighbors(partner):
+            return None
+        pairs.append((x, partner))
+        paired.update((x, partner))
     return center, tuple(pairs)
+
+
+def is_triangle_star(g: Graph, vertices=None) -> bool:
+    """Whether ``g`` (or the subgraph induced by ``vertices``) is a triangle
+    star; see :func:`triangle_star_parts`."""
+    return triangle_star_parts(g, vertices) is not None
 
 
 def _peel(g: Graph):
@@ -354,9 +338,9 @@ def _peel(g: Graph):
     return core, pendant_map, triangle_map
 
 
-def _core_sides_ok(g: Graph, core, u_side, w_side) -> bool:
-    """Each core edge must join u_side to w_side, and the core must be
-    connected."""
+def _core_sides_ok(g: Graph, core, u_side) -> bool:
+    """Each core edge must join u_side to the rest of the core, and the
+    core must be connected."""
     for x in core:
         for y in g.neighbors(x):
             if y not in core:
@@ -388,11 +372,10 @@ def recognize_cameron_walker(g: Graph) -> StructureClass:
     u_side = frozenset(x for x in core if pendant_map.get(x))
     if any(x in triangle_map for x in u_side):
         return StructureClass(NOT_CAMERON_WALKER)
-    w_side = core - u_side
-    if not _core_sides_ok(g, core, u_side, w_side):
+    if not _core_sides_ok(g, core, u_side):
         return StructureClass(NOT_CAMERON_WALKER)
     return StructureClass(
-        PENDANT_BIPARTITE, u_side, w_side, dict(pendant_map), dict(triangle_map)
+        PENDANT_BIPARTITE, u_side, core - u_side, pendant_map, triangle_map
     )
 
 
@@ -403,37 +386,26 @@ def classify_tight(g: Graph) -> StructureClass:
     The positive shapes are: a single edge; a triangle star; a connected
     bipartite core with exactly one pendant vertex on every vertex of one
     side and at least one pendant triangle on every vertex of the other.
-    For the last shape the matching-size identity
-    ``mm = (n - |w_side|) / 2`` is re-derived from the blossom matching as
-    a runtime self-check.
+    All of them are Cameron-Walker graphs, so this refines
+    :func:`recognize_cameron_walker` (no other star is tight).  For the
+    last shape the matching-size identity ``mm = (n - |w_side|) / 2`` is
+    re-derived from the blossom matching as a runtime self-check.
     """
-    _require_connected(g)
     if g.vertex_count == 2 and g.edge_count == 1:
         return StructureClass(ISOLATED_EDGE)
-    if is_triangle_star(g):
-        return StructureClass(TRIANGLE_STAR)
-    peeled = _peel(g)
-    if peeled is None:
-        return StructureClass(NOT_TIGHT)
-    core, pendant_map, triangle_map = peeled
-    if not core:
-        return StructureClass(NOT_TIGHT)
-    if any(len(ps) > 1 for ps in pendant_map.values()):
-        return StructureClass(NOT_TIGHT)
-    u_side = frozenset(x for x in core if pendant_map.get(x))
-    if any(x in triangle_map for x in u_side):
-        return StructureClass(NOT_TIGHT)
-    w_side = core - u_side
-    if any(not triangle_map.get(w) for w in w_side):
-        return StructureClass(NOT_TIGHT)
-    if not _core_sides_ok(g, core, u_side, w_side):
+    cw = recognize_cameron_walker(g)
+    if cw.kind == TRIANGLE_STAR:
+        return cw
+    if (
+        cw.kind != PENDANT_BIPARTITE
+        or any(len(ps) > 1 for ps in cw.pendant_vertices.values())
+        or any(not cw.pendant_triangles.get(w) for w in cw.w_side)
+    ):
         return StructureClass(NOT_TIGHT)
     mm = len(maximum_matching(g))
-    if 2 * mm != g.vertex_count - len(w_side):
+    if 2 * mm != g.vertex_count - len(cw.w_side):
         raise AssertionError(
             "tight classification contradicts the matching size; "
             "this is a bug in the structural test"
         )
-    return StructureClass(
-        TIGHT_PENDANT_BIPARTITE, u_side, w_side, dict(pendant_map), dict(triangle_map)
-    )
+    return replace(cw, kind=TIGHT_PENDANT_BIPARTITE)

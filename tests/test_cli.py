@@ -182,6 +182,9 @@ def test_parse_error_exit_2(capsys, tmp_path):
     missing = tmp_path / "missing.im"
     assert cli.main(["solve", str(missing)]) == 2
     assert cli.main(["gen", "bogus:n=1"]) == 2
+    huge = tmp_path / "huge.im"
+    huge.write_text("p im 1000000000000 0 0\n")
+    assert cli.main(["solve", str(huge)]) == 2
 
 
 def test_usage_error_exit_2():

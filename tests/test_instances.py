@@ -9,7 +9,7 @@ from imsolve.errors import (
     NotACliqueError,
     ParseError,
 )
-from imsolve.instances import CWSpec, generate, parse_generator_spec
+from imsolve.instances import MAX_VERTICES, CWSpec, generate, parse_generator_spec
 from imsolve.kernel import Instance
 from imsolve.oracle import NOT_CAMERON_WALKER, NOT_TIGHT, classify_tight
 
@@ -53,6 +53,9 @@ def test_parse_errors_carry_line_numbers():
         im.read_instance("q something\n")
     with pytest.raises(ParseError):
         im.read_instance("")
+    with pytest.raises(ParseError) as info:
+        im.read_instance(f"c too many vertices\np im {MAX_VERTICES + 1} 0 0\n")
+    assert info.value.line == 2
 
 
 def test_write_then_read_round_trip():

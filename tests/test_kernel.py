@@ -123,6 +123,43 @@ def test_measure_never_increases():
             assert measure(reduced.graph, reduced.ell) <= measure(g, ell)
 
 
+def one_rule_per_scan(inst, pendant_triangles):
+    """Reference kernel: rescan after every single rule application."""
+    g, ell, steps, harvested = inst.graph, inst.ell, [], set()
+    while True:
+        feats = g.local_features()
+        if feats.isolated_vertices:
+            v = feats.isolated_vertices[0]
+            g = g.delete_vertices({v})
+            steps.append(im.ReductionStep(RULE_ISOLATED_VERTEX, (v,), None))
+        elif feats.isolated_edges:
+            e = feats.isolated_edges[0]
+            g = g.delete_vertices(e)
+            if ell > 0:
+                ell -= 1
+                harvested.add(e)
+                steps.append(im.ReductionStep(RULE_ISOLATED_EDGE, e, e))
+            else:
+                steps.append(im.ReductionStep(RULE_ISOLATED_EDGE, e, None))
+        elif pendant_triangles and feats.pendant_triangles:
+            _, v, _ = feats.pendant_triangles[0]
+            g = g.delete_vertices({v})
+            steps.append(im.ReductionStep(RULE_PENDANT_TRIANGLE, (v,), None))
+        else:
+            return Instance(g, ell), frozenset(harvested), tuple(steps)
+
+
+def test_rounds_match_one_rule_per_scan():
+    specs = ("cw:u=2,w=2,p=0.5,nu=1-2,nw=0-2", "cw:u=2,w=3,p=0.4,nu=1,nw=1-2,tight")
+    cw = [im.generate(spec, seed=seed) for spec in specs for seed in range(15)]
+    for g in random_graphs(240, max_n=12, seed0=53) + cw:
+        for ell in range(g.vertex_count // 2 + 2):
+            for mode in (True, False):
+                inst = Instance(g, ell)
+                reduced, harvested, trace = reduce_instance(inst, pendant_triangles=mode)
+                assert (reduced, harvested, trace.steps) == one_rule_per_scan(inst, mode)
+
+
 def test_terminal_state_order():
     assert terminal_state(Instance(cycle(5), 0), 0, 0) is TerminalState.YES
     assert terminal_state(Instance(build(3), 2), 0, 9) is TerminalState.NO

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 import imsolve as im
@@ -16,6 +19,7 @@ from imsolve.oracle import (
     measure,
     parameters,
     recognize_cameron_walker,
+    triangle_star_parts,
 )
 
 from conftest import (
@@ -118,6 +122,16 @@ def test_shape_predicates():
     assert not is_triangle_star(path(5))
 
 
+def test_triangle_star_parts():
+    for g in (complete(4), star(4), path(5), cycle(5)):
+        assert triangle_star_parts(g) is None
+    assert triangle_star_parts(cycle(3)) == (1, ((2, 3),))
+    assert triangle_star_parts(im.triangle_star_graph(2)) == (
+        "s",
+        (("u1", "w1"), ("u2", "w2")),
+    )
+
+
 def test_recognize_landmarks():
     assert recognize_cameron_walker(star(5)).kind == STAR
     assert recognize_cameron_walker(im.triangle_star_graph(4)).kind == TRIANGLE_STAR
@@ -170,3 +184,40 @@ def test_recognizers_match_oracles_randomly():
         mm, is_, (imv, _) = im.brute_mm(g), im.brute_is(g), im.brute_im(g)
         assert (recognize_cameron_walker(g).kind != NOT_CAMERON_WALKER) == (mm == imv)
         assert (classify_tight(g).kind != NOT_TIGHT) == (mm + is_ == 2 * imv)
+
+
+def cw_recipes_and_perturbations():
+    """Graphs from ``cw:`` recipes with two vertices per core side, plus
+    each one with an extra edge, which usually breaks the shape."""
+    specs = (
+        "cw:u=2,w=2,p=0.5,nu=1,nw=1-2,tight",
+        "cw:u=2,w=2,p=0.5,nu=1-2,nw=0-2",
+        "cw:u=2,w=2,p=0.5,nu=1,nw=0-1",
+    )
+    rng = random.Random(239)
+    for spec in specs:
+        for seed in range(12):
+            g = im.generate(spec, seed=seed)
+            yield g
+            absent = [
+                (u, v)
+                for u, v in combinations(g.vertices, 2)
+                if not g.has_edge(u, v)
+            ]
+            yield im.Graph.build(g.vertices, g.edges() + [rng.choice(absent)])
+
+
+def test_recognizers_match_oracles_on_cw_recipes():
+    kinds = set()
+    for g in cw_recipes_and_perturbations():
+        assert g.vertex_count <= 16
+        mm, is_, (imv, _) = im.brute_mm(g), im.brute_is(g), im.brute_im(g)
+        cw, tight = recognize_cameron_walker(g), classify_tight(g)
+        assert (cw.kind != NOT_CAMERON_WALKER) == (mm == imv)
+        assert (tight.kind != NOT_TIGHT) == (mm + is_ == 2 * imv)
+        kinds.add((cw.kind, tight.kind))
+    assert kinds == {
+        (PENDANT_BIPARTITE, TIGHT_PENDANT_BIPARTITE),
+        (PENDANT_BIPARTITE, NOT_TIGHT),
+        (NOT_CAMERON_WALKER, NOT_TIGHT),
+    }
