@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--budget", type=int,
                       help="fixed branching budget; exhausted runs exit 3")
     mode.add_argument("--auto", action="store_true",
-                      help="iterative deepening until definitive (default)")
+                      help="one exhaustive search, always definitive (default)")
     mode.add_argument("--oracle-k", action="store_true",
                       help="budget from the oracle parameters (small inputs)")
     p.add_argument("--trace", help="write one JSON line per search node here")

@@ -1,6 +1,6 @@
 """Branch-and-reduce engines for the induced matching decision problem.
 
-Two engines share one depth-first search:
+Two engines share one depth-first search, run on an explicit stack:
 
 * ``solve_imba``: the main algorithm.  At every node the graph is reduced,
   the termination tests run, and a branching rule is picked from the
@@ -20,8 +20,8 @@ Two engines share one depth-first search:
 
 Answers are Yes (with a verified certificate), No, or Exhausted when the
 budget truncated the search without finding a solution.  ``solve_auto``
-removes the budget guesswork by iterative deepening: a run that never hit
-the budget is exhaustive, so its No is definitive.
+needs no budget: every branching deletes a vertex, so one search at the
+budget ``n - 2*ell + 1`` can never be truncated, and its No is definitive.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import NoRuleAppliesError, PreconditionViolatedError
 from .gallai_edmonds import GEDecomposition, decompose
 from .graph import Graph, label_key, sort_labels, verify_induced_matching
 from .kernel import Instance, TerminalState, reduce_instance, terminal_state
-from .oracle import is_triangle_star, triangle_star_parts
+from .oracle import triangle_star_parts
 
 
 class Rule(str, Enum):
@@ -215,11 +215,12 @@ def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
     for comp in dec.d_components:
         if len(comp) < 5:
             continue
-        if not is_triangle_star(g, comp):
+        parts = triangle_star_parts(g, comp)
+        if parts is None:
             if long_comp is None:
                 long_comp = comp
             continue
-        _, pairs = triangle_star_parts(g, comp)
+        _, pairs = parts
         # Outer vertices of distinct pendant triangles are nonadjacent;
         # after exhausting the pendant-triangle reduction, each pair has
         # a member with a separator neighbor.
@@ -362,73 +363,79 @@ def expand(inst: Instance, choice: BranchChoice) -> list:
 # -- the depth-first engine ---------------------------------------------------
 
 
-class _SearchContext:
-    __slots__ = ("budget", "choose", "reduce", "stats", "trace", "exhausted")
+def _search(inst: Instance, budget: int, choose, reduce, trace) -> SolveResult:
+    """Preorder depth-first search with a branching budget.
 
-    def __init__(self, budget, choose, reduce, stats, trace):
-        self.budget = budget
-        self.choose = choose
-        self.reduce = reduce
-        self.stats = stats
-        self.trace = trace
-        self.exhausted = False
-
-    def emit(self, depth, inst, state, choice):
-        if self.trace is None:
-            return
-        record = {
-            "depth": depth,
-            "n": inst.graph.vertex_count,
-            "ell": inst.ell,
-            "state": state.value,
-            "rule": choice.rule.value if choice else None,
-            "actors": dict(choice.actors) if choice else None,
-        }
-        self.trace(json.dumps(record, sort_keys=True, default=str))
-
-
-def _dfs(inst: Instance, depth: int, harvested: frozenset, ctx: _SearchContext):
-    reduced, got, trace = ctx.reduce(inst)
-    ctx.stats.nodes_visited += 1
-    if depth > ctx.stats.max_depth:
-        ctx.stats.max_depth = depth
-    ctx.stats.record_reductions(trace)
-    harvested = harvested | got
-    state = terminal_state(reduced, depth, ctx.budget)
-    if state is not TerminalState.CONTINUE:
-        ctx.emit(depth, reduced, state, None)
+    The path from the root is an explicit stack, so the depth is bounded by
+    the budget rather than by Python's recursion limit.  Each frame holds
+    the unexplored children of one open node, last one next (the root
+    frame holds the input), and the edges harvested on the path down to
+    them; the node popped from the top frame sits at depth
+    ``len(stack) - 1``.  An explored child is dropped from its frame, so
+    the stack keeps only graphs still to be searched.
+    """
+    stats = SearchStats()
+    exhausted = False
+    stack = [([inst], frozenset())]
+    while stack:
+        children, harvested = stack[-1]
+        if not children:
+            stack.pop()
+            continue
+        node = children.pop()
+        depth = len(stack) - 1
+        reduced, got, steps = reduce(node)
+        stats.nodes_visited += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        stats.record_reductions(steps)
+        harvested = harvested | got
+        state = terminal_state(reduced, depth, budget)
+        choice = None
+        if state is TerminalState.CONTINUE:
+            choice = choose(reduced.graph)
+            stats.record_branching(choice.rule)
+        if trace is not None:
+            record = {
+                "depth": depth,
+                "n": reduced.graph.vertex_count,
+                "ell": reduced.ell,
+                "state": state.value,
+                "rule": choice.rule.value if choice else None,
+                "actors": dict(choice.actors) if choice else None,
+            }
+            trace(json.dumps(record, sort_keys=True, default=str))
         if state is TerminalState.YES:
-            return harvested
+            if len(harvested) != inst.ell or not verify_induced_matching(
+                inst.graph, harvested
+            ):
+                raise AssertionError(
+                    "solver produced an invalid certificate; this is a bug"
+                )
+            return SolveResult(Answer.YES, harvested, stats)
         if state is TerminalState.EXHAUSTED:
-            ctx.exhausted = True
-        return None
-    choice = ctx.choose(reduced.graph)
-    ctx.stats.record_branching(choice.rule)
-    ctx.emit(depth, reduced, state, choice)
-    for child in expand(reduced, choice):
-        found = _dfs(child, depth + 1, harvested, ctx)
-        if found is not None:
-            return found
-    return None
+            exhausted = True
+        elif choice is not None:
+            stack.append((expand(reduced, choice)[::-1], harvested))
+    return SolveResult(Answer.EXHAUSTED if exhausted else Answer.NO, None, stats)
 
 
-def _finish(inst: Instance, certificate, ctx: _SearchContext) -> SolveResult:
-    if certificate is not None:
-        if len(certificate) != inst.ell or not verify_induced_matching(
-            inst.graph, certificate
-        ):
-            raise AssertionError(
-                "solver produced an invalid certificate; this is a bug"
-            )
-        return SolveResult(Answer.YES, certificate, ctx.stats)
-    if ctx.exhausted:
-        return SolveResult(Answer.EXHAUSTED, None, ctx.stats)
-    return SolveResult(Answer.NO, None, ctx.stats)
+def _exhaustive(inst: Instance, search) -> SolveResult:
+    """``search(budget)`` at a budget no root-to-leaf path can reach.
+
+    Every child of every branching rule deletes at least one vertex and
+    keeps the target, and no reduction raises ``n - 2*ell``; so at depth
+    ``n - 2*ell + 1`` (of the input) the no test ``n < 2*ell`` has closed
+    every node, and the answer is definitive.
+    """
+    result = search(max(0, inst.graph.vertex_count - 2 * inst.ell + 1))
+    if result.answer is Answer.EXHAUSTED:
+        raise AssertionError(
+            "the depth bound n - 2*ell + 1 can never truncate; this is a bug"
+        )
+    return result
 
 
-def solve_imba(
-    inst: Instance, budget: int, *, trace=None, stats: SearchStats | None = None
-) -> SolveResult:
+def solve_imba(inst: Instance, budget: int, *, trace=None) -> SolveResult:
     """Run the decomposition-guided search with a fixed branching budget.
 
     ``budget`` is the maximum number of branchings on any root-to-leaf
@@ -440,62 +447,43 @@ def solve_imba(
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    ctx = _SearchContext(
-        budget=budget,
-        choose=lambda g: choose_rule(g, decompose(g)),
-        reduce=reduce_instance,
-        stats=stats if stats is not None else SearchStats(),
-        trace=trace,
+    return _search(
+        inst, budget, lambda g: choose_rule(g, decompose(g)), reduce_instance, trace
     )
-    certificate = _dfs(inst, 0, frozenset(), ctx)
-    return _finish(inst, certificate, ctx)
 
 
 def solve_auto(inst: Instance, *, trusted_budget=None, trace=None) -> SolveResult:
-    """Definitive Yes/No via iterative deepening over the budget.
+    """Definitive Yes/No from one exhaustive decomposition-guided search.
 
-    A run that finishes without any budget truncation has explored the
-    full reduced search space, so its No is exhaustive and final.  Each
-    branching deletes at least one vertex, so the deepening always
-    terminates by the time the budget reaches the vertex count.  When a
-    trusted budget is supplied (for example twice the oracle-computed
-    parameter), the search runs once and Exhausted is mapped to No.
+    The search runs once, at the budget ``n - 2*ell + 1``, which no path
+    can reach (see ``_exhaustive``), so its No is final.  When a trusted
+    budget is supplied instead (for example twice the oracle-computed
+    parameter), the search runs at that budget and Exhausted is mapped to
+    No.
     """
-    stats = SearchStats()
-    if trusted_budget is not None:
-        result = solve_imba(inst, trusted_budget, trace=trace, stats=stats)
-        if result.answer is Answer.EXHAUSTED:
-            return SolveResult(Answer.NO, None, result.stats)
-        return result
-    budget = 0
-    while True:
-        result = solve_imba(inst, budget, trace=trace, stats=stats)
-        if result.answer is not Answer.EXHAUSTED:
-            return result
-        budget += 1
+    if trusted_budget is None:
+        return _exhaustive(inst, lambda budget: solve_imba(inst, budget, trace=trace))
+    result = solve_imba(inst, trusted_budget, trace=trace)
+    if result.answer is Answer.EXHAUSTED:
+        return SolveResult(Answer.NO, None, result.stats)
+    return result
 
 
 def solve_imbtg(inst: Instance, *, trace=None) -> SolveResult:
     """The simple solver for the below-half-the-vertices parameterization.
 
-    Degree-based reductions only, one naive 3-way branching rule, and a
-    depth bound of ``n - 2*ell + 1`` taken from the input; within that
-    bound every leaf provably closes as Yes or No, so the answer is always
+    Degree-based reductions only and one naive 3-way branching rule, run
+    once at the depth bound ``n - 2*ell + 1`` taken from the input; within
+    that bound every leaf closes as Yes or No, so the answer is always
     definitive.
     """
-    budget = max(0, inst.graph.vertex_count - 2 * inst.ell + 1)
-    ctx = _SearchContext(
-        budget=budget,
-        choose=_choose_naive,
-        reduce=lambda i: reduce_instance(i, pendant_triangles=False),
-        stats=SearchStats(),
-        trace=trace,
+    return _exhaustive(
+        inst,
+        lambda budget: _search(
+            inst,
+            budget,
+            _choose_naive,
+            lambda i: reduce_instance(i, pendant_triangles=False),
+            trace,
+        ),
     )
-    certificate = _dfs(inst, 0, frozenset(), ctx)
-    result = _finish(inst, certificate, ctx)
-    if result.answer is Answer.EXHAUSTED:
-        raise AssertionError(
-            "the depth bound of the simple solver can never truncate; "
-            "this is a bug"
-        )
-    return result

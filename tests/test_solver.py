@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -276,6 +277,30 @@ def test_empty_graph_zero_target():
 def test_auto_on_cycle():
     assert solve_auto(Instance(cycle(5), 1)).answer is Answer.YES
     assert solve_auto(Instance(cycle(5), 2)).answer is Answer.NO
+
+
+def test_auto_is_one_search_at_the_exhaustive_budget():
+    inst = Instance(cycle(5), 2)
+    auto_lines, fixed_lines = [], []
+    auto = solve_auto(inst, trace=auto_lines.append)
+    fixed = solve_imba(inst, 5 - 2 * 2 + 1, trace=fixed_lines.append)
+    roots = [line for line in auto_lines if json.loads(line)["depth"] == 0]
+    assert len(roots) == 1
+    assert auto.answer is Answer.NO
+    assert auto == fixed
+    assert auto_lines == fixed_lines
+
+
+def test_search_deeper_than_the_recursion_limit():
+    inst = Instance(path(400), 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        res = solve_auto(inst)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.answer is Answer.YES
+    assert res.stats.max_depth > 150
 
 
 def test_auto_trusted_budget_maps_exhausted_to_no():
