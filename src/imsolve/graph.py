@@ -61,14 +61,13 @@ class Graph:
     operations return new values; the receiver is never mutated.
     """
 
-    __slots__ = ("_adj", "_sorted", "_m", "_hash")
+    __slots__ = ("_adj", "_sorted", "_hash")
 
-    def __init__(self, adjacency):
-        # Internal constructor: ``adjacency`` must already be a symmetric
-        # label -> frozenset mapping.  Users go through Graph.build().
-        self._adj = dict(adjacency)
-        self._sorted = tuple(sort_labels(self._adj))
-        self._m = sum(len(nbrs) for nbrs in self._adj.values()) // 2
+    def __init__(self, adjacency: dict):
+        # Internal constructor: keeps ``adjacency``, a fresh symmetric
+        # label -> frozenset dict, uncopied.  Users go through Graph.build().
+        self._adj = adjacency
+        self._sorted = tuple(sort_labels(adjacency))
         self._hash = None
 
     @classmethod
@@ -108,7 +107,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return self._m
+        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     def __len__(self) -> int:
         return len(self._adj)

@@ -290,7 +290,9 @@ def parse_generator_spec(text: str):
     For ``cw`` the bipartite core is sampled: u/w give the side sizes, p
     the probability of each extra cross edge on top of a deterministic
     connecting backbone, and nu/nw the per-vertex pendant and triangle
-    counts (single numbers or lo-hi ranges).
+    counts (single numbers or lo-hi ranges).  A ``random`` spec with more
+    than ``MAX_VERTICES`` vertices, or a ``cw`` spec whose core alone
+    (u + w) has more, is refused, since no instance file could hold it.
     """
     kind, _, body = text.partition(":")
     kind = kind.strip()
@@ -314,6 +316,8 @@ def parse_generator_spec(text: str):
             raise InvalidSpecError(f"bad random spec {text!r}: {exc}") from None
         if n < 0:
             raise InvalidSpecError("n must be nonnegative")
+        if n > MAX_VERTICES:
+            raise InvalidSpecError(f"n = {n} is more than {MAX_VERTICES} vertices")
         return ("random", {"n": n, "p": p})
     if kind == "cw":
         try:
@@ -324,6 +328,10 @@ def parse_generator_spec(text: str):
             nw = _parse_count_range(options.get("nw", "1"))
         except (ValueError, InvalidSpecError) as exc:
             raise InvalidSpecError(f"bad cw spec {text!r}: {exc}") from None
+        if num_u + num_w > MAX_VERTICES:
+            raise InvalidSpecError(
+                f"u + w = {num_u + num_w} is more than {MAX_VERTICES} vertices"
+            )
         return (
             "cw",
             {

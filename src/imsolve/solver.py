@@ -9,10 +9,10 @@ Two engines share one depth-first search, run on an explicit stack:
   component; a triangle-star component; a long factor-critical component
   (via a 4-vertex path); and finally the plain degree-2 branch, which at
   that point provably makes progress because the graph is bipartite and
-  thin.  Every rule spawns 3 or 7 children, each obtained by vertex
-  deletions, and each child provably lowers the potential
-  (mm + is)/2 - ell by at least one half, which is what bounds the search
-  depth by the branching budget.
+  thin.  Every rule names 3 or 7 children by the vertex sets they delete,
+  and each child provably lowers the potential (mm + is)/2 - ell by at
+  least one half, which is what bounds the search depth by the branching
+  budget.  The search builds a child's graph only when it visits it.
 
 * ``solve_imbtg``: the simple below-half-the-vertices algorithm, used for
   cross-validation.  Degree-based reductions only, one 3-way branching
@@ -299,15 +299,13 @@ def _choose_naive(g: Graph) -> BranchChoice:
     )
 
 
-def expand(inst: Instance, choice: BranchChoice) -> list:
-    """Instantiate the children of a branching choice.
+def expand(g: Graph, choice: BranchChoice) -> list:
+    """The deletion sets that define the children of a branching choice.
 
-    Children keep the parent's target; each child graph arises from vertex
-    deletions.  Child order follows the rule statements (first listed
-    child explored first).
+    Each child is ``g`` minus one of these sets, with the parent's target;
+    no graph is built here.  Order follows the rule statements (first
+    listed child explored first).
     """
-    g = inst.graph
-    ell = inst.ell
     a = choice.actors
     rule = choice.rule
     if rule in (Rule.C_VERTEX, Rule.DEGREE_TWO):
@@ -357,7 +355,7 @@ def expand(inst: Instance, choice: BranchChoice) -> list:
         ]
     else:  # pragma: no cover - exhaustive over Rule
         raise NoRuleAppliesError(f"unknown rule {rule!r}")
-    return [Instance(g.delete_vertices(dels), ell) for dels in deletions]
+    return deletions
 
 
 # -- the depth-first engine ---------------------------------------------------
@@ -368,21 +366,21 @@ def _search(inst: Instance, budget: int, choose, reduce, trace) -> SolveResult:
 
     The path from the root is an explicit stack, so the depth is bounded by
     the budget rather than by Python's recursion limit.  Each frame holds
-    the unexplored children of one open node, last one next (the root
-    frame holds the input), and the edges harvested on the path down to
-    them; the node popped from the top frame sits at depth
-    ``len(stack) - 1``.  An explored child is dropped from its frame, so
-    the stack keeps only graphs still to be searched.
+    one open node's reduced instance, the deletion sets of its unvisited
+    children, last one next, and the edges harvested on the path down to
+    them; the root frame holds the input with one empty deletion set.  A
+    child's graph is built only when it is popped, at depth
+    ``len(stack) - 1``, so the stack keeps one graph per open node.
     """
     stats = SearchStats()
     exhausted = False
-    stack = [([inst], frozenset())]
+    stack = [(inst, [()], frozenset())]
     while stack:
-        children, harvested = stack[-1]
-        if not children:
+        parent, pending, harvested = stack[-1]
+        if not pending:
             stack.pop()
             continue
-        node = children.pop()
+        node = Instance(parent.graph.delete_vertices(pending.pop()), parent.ell)
         depth = len(stack) - 1
         reduced, got, steps = reduce(node)
         stats.nodes_visited += 1
@@ -415,7 +413,7 @@ def _search(inst: Instance, budget: int, choose, reduce, trace) -> SolveResult:
         if state is TerminalState.EXHAUSTED:
             exhausted = True
         elif choice is not None:
-            stack.append((expand(reduced, choice)[::-1], harvested))
+            stack.append((reduced, expand(reduced.graph, choice)[::-1], harvested))
     return SolveResult(Answer.EXHAUSTED if exhausted else Answer.NO, None, stats)
 
 

@@ -149,7 +149,10 @@ def test_criterion_3_measure_drops():
             return
         choice = choose_rule(reduced.graph, decompose(reduced.graph))
         parent = potential(reduced.graph, reduced.ell)
-        children = expand(reduced, choice)
+        children = [
+            Instance(reduced.graph.delete_vertices(dels), reduced.ell)
+            for dels in expand(reduced.graph, choice)
+        ]
         for child in children:
             if potential(child.graph, child.ell) > parent - 0.5:
                 violations += 1

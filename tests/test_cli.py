@@ -4,6 +4,7 @@ import pytest
 
 import imsolve as im
 from imsolve import cli
+from imsolve.instances import MAX_VERTICES
 from imsolve.kernel import Instance
 
 from conftest import build, cycle
@@ -182,6 +183,9 @@ def test_parse_error_exit_2(capsys, tmp_path):
     missing = tmp_path / "missing.im"
     assert cli.main(["solve", str(missing)]) == 2
     assert cli.main(["gen", "bogus:n=1"]) == 2
+    too_many = MAX_VERTICES + 1
+    assert cli.main(["gen", f"random:n={too_many},p=0.5"]) == 2
+    assert cli.main(["gen", f"cw:u={too_many // 2},w={too_many - too_many // 2}"]) == 2
     huge = tmp_path / "huge.im"
     huge.write_text("p im 1000000000000 0 0\n")
     assert cli.main(["solve", str(huge)]) == 2

@@ -190,6 +190,15 @@ def test_parse_generator_spec_errors():
         parse_generator_spec("mystery:n=3")
     with pytest.raises(InvalidSpecError):
         parse_generator_spec("random:p=0.5")  # n is required
+    too_many = MAX_VERTICES + 1
+    with pytest.raises(InvalidSpecError):
+        parse_generator_spec(f"random:n={too_many},p=0.5")
+    with pytest.raises(InvalidSpecError):
+        parse_generator_spec(f"cw:u={too_many - 5},w=5")
+    kind, _ = parse_generator_spec(f"random:n={MAX_VERTICES},p=0")
+    assert kind == "random"
+    kind, opts = parse_generator_spec(f"cw:u={MAX_VERTICES - 5},w=5")
+    assert kind == "cw" and opts["u"] + opts["w"] == MAX_VERTICES
     kind, opts = parse_generator_spec("random:n=6,p=0.25")
     assert kind == "random" and opts == {"n": 6, "p": 0.25}
 

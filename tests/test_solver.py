@@ -165,25 +165,23 @@ def test_rule_always_found_after_reduction():
 # -- expansion -------------------------------------------------------------------
 
 
-def vertex_sets(children):
-    return [frozenset(child.graph.vertices) for child in children]
+def vertex_sets(g, deletions):
+    return [frozenset(g.vertices) - dels for dels in deletions]
 
 
 def test_expand_clique():
     g = complete(4)
-    children = expand(Instance(g, 2), choose_rule(g, decompose(g)))
-    assert len(children) == 3
-    for child in children:
-        assert child.ell == 2
-        assert child.graph.vertex_count == 3
-        assert child.graph.edge_count == 3
+    deletions = expand(g, choose_rule(g, decompose(g)))
+    assert deletions == [{1}, {2}, {3}]
+    for dels in deletions:
+        assert g.delete_vertices(dels).edge_count == 3
 
 
 def test_expand_triangle_children_exact():
     g = im.anchored_triangle()
-    children = expand(Instance(g, 2), choose_rule(g, decompose(g)))
+    deletions = expand(g, choose_rule(g, decompose(g)))
     v = frozenset(g.vertices)
-    assert vertex_sets(children) == [
+    assert vertex_sets(g, deletions) == [
         v - {"z"},
         v - {"a", "z"},
         v - {"a", "b"},
@@ -196,9 +194,9 @@ def test_expand_triangle_children_exact():
 
 def test_expand_triangle_star_children_exact():
     g = triangle_star_component_graph()
-    children = expand(Instance(g, 2), choose_rule(g, decompose(g)))
+    deletions = expand(g, choose_rule(g, decompose(g)))
     v = frozenset(g.vertices)
-    assert vertex_sets(children) == [
+    assert vertex_sets(g, deletions) == [
         v - {"a"},
         v - {"d", "f"},
         v - {"d", "a"},
@@ -211,9 +209,9 @@ def test_expand_triangle_star_children_exact():
 
 def test_expand_a_edge_children():
     g = a_edge_graph()
-    children = expand(Instance(g, 3), choose_rule(g, decompose(g)))
+    deletions = expand(g, choose_rule(g, decompose(g)))
     v = frozenset(g.vertices)
-    assert vertex_sets(children) == [
+    assert vertex_sets(g, deletions) == [
         v - {"p"},
         v - {"q"},
         v - {"x1", "y1", "x2", "y2", "x3", "y3", "x4", "y4"},
@@ -232,9 +230,9 @@ def test_expand_four_path_spec_example():
             "wp": 1, "w1": 2, "w2": 5,
         },
     )
-    children = expand(Instance(g, 2), choice)
-    assert len(children) == 7
-    last = children[6].graph
+    deletions = expand(g, choice)
+    assert len(deletions) == 7
+    last = g.delete_vertices(deletions[6])
     assert frozenset(last.vertices) == frozenset({2, 3, 5})
     assert last.edges() == [(2, 3)]
 
@@ -242,8 +240,8 @@ def test_expand_four_path_spec_example():
 def test_expand_naive_order():
     g = cycle(5)
     choice = BranchChoice(Rule.NAIVE, {"v": 1, "u": 2, "w": 5})
-    children = expand(Instance(g, 1), choice)
-    assert vertex_sets(children) == [
+    deletions = expand(g, choice)
+    assert vertex_sets(g, deletions) == [
         frozenset({1, 3, 4, 5}),
         frozenset({2, 3, 4, 5}),
         frozenset({1, 2, 3, 4}),
@@ -301,6 +299,26 @@ def test_search_deeper_than_the_recursion_limit():
         sys.setrecursionlimit(limit)
     assert res.answer is Answer.YES
     assert res.stats.max_depth > 150
+
+
+def test_children_are_built_only_when_visited(monkeypatch):
+    # every graph the search builds is either a visited node or the
+    # result of a reduction round, never an unvisited sibling
+    calls = 0
+    delete_vertices = im.Graph.delete_vertices
+
+    def counting(self, remove):
+        nonlocal calls
+        calls += 1
+        return delete_vertices(self, remove)
+
+    monkeypatch.setattr(im.Graph, "delete_vertices", counting)
+    res = solve_auto(Instance(path(200), 1))
+    assert res.answer is Answer.YES
+    stats = res.stats
+    bound = stats.nodes_visited + sum(stats.reductions_by_rule.values())
+    assert bound == 200
+    assert calls <= bound
 
 
 def test_auto_trusted_budget_maps_exhausted_to_no():
@@ -377,7 +395,8 @@ def test_yes_instance_at_budget_boundary_has_collapsed_invariants():
         if terminal_state(reduced, depth, budget) is not TerminalState.CONTINUE:
             return
         choice = choose_rule(reduced.graph, decompose(reduced.graph))
-        for child in expand(reduced, choice):
+        for dels in expand(reduced.graph, choice):
+            child = Instance(reduced.graph.delete_vertices(dels), reduced.ell)
             visit(child, depth + 1, budget)
 
     for g in random_graphs(60, max_n=7, seed0=163):
