@@ -4,8 +4,11 @@ The search explores thousands of vertex-deleted subproblems of a single
 input graph.  Keeping ``Graph`` immutable makes subproblems cheap logical
 snapshots that can be shared freely, and keeping labels stable across
 deletions means a certificate found deep in the search still names vertices
-of the original input.  Iteration is deterministic everywhere (sorted by
-label), so branching decisions and traces are reproducible.
+of the original input.  Label order is decided once: ``Graph.build`` inserts
+the vertices of its adjacency dict in ``sort_labels`` order, and every
+derived graph keeps its parent's order by filtering the parent's items.  So
+iteration is by label everywhere, without a sort, and branching decisions
+and traces are reproducible.
 """
 
 from __future__ import annotations
@@ -58,16 +61,19 @@ class Graph:
     """Undirected simple graph, immutable after construction.
 
     Construct via :meth:`build`, which validates the edge list.  All
-    operations return new values; the receiver is never mutated.
+    operations return new values; the receiver is never mutated.  The
+    adjacency dict is in label order: ``build`` sets it and every derived
+    graph inherits it, so vertices, edges and scans come out sorted.
     """
 
-    __slots__ = ("_adj", "_sorted", "_hash")
+    __slots__ = ("_adj", "_hash")
 
     def __init__(self, adjacency: dict):
         # Internal constructor: keeps ``adjacency``, a fresh symmetric
-        # label -> frozenset dict, uncopied.  Users go through Graph.build().
+        # label -> frozenset dict whose keys are in label order, uncopied.
+        # Only build() sorts; derived graphs filter their parent's items in
+        # order.  Users go through Graph.build().
         self._adj = adjacency
-        self._sorted = tuple(sort_labels(adjacency))
         self._hash = None
 
     @classmethod
@@ -77,15 +83,14 @@ class Graph:
         Rejects self-loops, duplicate edges (after normalization to
         unordered pairs) and endpoints outside ``labels``.
         """
-        vertex_set = set(labels)
-        adj = {v: set() for v in vertex_set}
+        adj = {v: set() for v in sort_labels(set(labels))}
         seen = set()
         for u, v in edges:
             if u == v:
                 raise SelfLoopError(f"self-loop at {u!r}")
-            if u not in vertex_set:
+            if u not in adj:
                 raise UnknownEndpointError(f"endpoint {u!r} not among the vertices")
-            if v not in vertex_set:
+            if v not in adj:
                 raise UnknownEndpointError(f"endpoint {v!r} not among the vertices")
             e = edge(u, v)
             if e in seen:
@@ -99,7 +104,7 @@ class Graph:
 
     @property
     def vertices(self) -> tuple:
-        return self._sorted
+        return tuple(self._adj)
 
     @property
     def vertex_count(self) -> int:
@@ -113,7 +118,7 @@ class Graph:
         return len(self._adj)
 
     def __iter__(self):
-        return iter(self._sorted)
+        return iter(self._adj)
 
     def __contains__(self, v) -> bool:
         return v in self._adj
@@ -133,13 +138,10 @@ class Graph:
 
     def edges(self) -> list:
         """All edges as normalized pairs, sorted."""
+        rank = {v: i for i, v in enumerate(self._adj)}
         out = []
-        for v in self._sorted:
-            kv = label_key(v)
-            for u in self._adj[v]:
-                if kv < label_key(u):
-                    out.append((v, u))
-        out.sort(key=lambda e: (label_key(e[0]), label_key(e[1])))
+        for i, (v, nbrs) in enumerate(self._adj.items()):
+            out.extend((v, u) for u in sorted(nbrs, key=rank.get) if rank[u] > i)
         return out
 
     def neighborhood_of_set(self, vertices) -> frozenset:
@@ -170,7 +172,7 @@ class Graph:
         for v in ks:
             if v not in self._adj:
                 raise UnknownVertexError(f"unknown vertex {v!r}")
-        return Graph({v: self._adj[v] & ks for v in ks})
+        return Graph({v: nbrs & ks for v, nbrs in self._adj.items() if v in ks})
 
     # -- structure --------------------------------------------------------
 
@@ -178,7 +180,7 @@ class Graph:
         """Vertex sets of the connected components, ordered by smallest label."""
         seen = set()
         parts = []
-        for start in self._sorted:
+        for start in self._adj:
             if start in seen:
                 continue
             comp = {start}
@@ -198,10 +200,11 @@ class Graph:
         """A 2-coloring ``(U, W)`` if one exists, else None.
 
         Deterministic: BFS from the smallest label of each component, which
-        is placed on side ``U``.
+        is placed on side ``U``; a colour is the parity of the distance from
+        it, whatever order the neighbours are visited in.
         """
         color = {}
-        for start in self._sorted:
+        for start in self._adj:
             if start in color:
                 continue
             color[start] = 0
@@ -209,7 +212,7 @@ class Graph:
             while queue:
                 v = queue.popleft()
                 cv = color[v]
-                for u in sort_labels(self._adj[v]):
+                for u in self._adj[v]:
                     if u not in color:
                         color[u] = 1 - cv
                         queue.append(u)
@@ -224,46 +227,38 @@ class Graph:
 
         Degrees are taken in the whole graph.  A triangle with all three
         degrees equal to 2 (an isolated triangle) is reported with its
-        smallest vertex as ``v``, the one the reduction deletes.
+        smallest vertex as ``v``, the one the reduction deletes.  Each
+        triangle is reported once, from its smallest degree-2 vertex.
         """
         adj = self._adj
-        isolated = tuple(v for v in self._sorted if not adj[v])
+        isolated = tuple(v for v, nbrs in adj.items() if not nbrs)
         iso_edges = []
-        for v in self._sorted:
-            nbrs = adj[v]
+        for v, nbrs in adj.items():
             if len(nbrs) == 1:
                 (u,) = nbrs
                 if len(adj[u]) == 1 and label_key(v) < label_key(u):
                     iso_edges.append((v, u))
         pendants = []
-        seen = set()
-        for x in self._sorted:
-            nbrs = adj[x]
+        for x, nbrs in adj.items():
             if len(nbrs) != 2:
                 continue
-            a, b = sort_labels(nbrs)
+            a, b = nbrs
             if b not in adj[a]:
                 continue
-            tri = frozenset((x, a, b))
-            if tri in seen:
-                continue
-            seen.add(tri)
+            tri = (x, a, b)
             deg2 = [y for y in sort_labels(tri) if len(adj[y]) == 2]
-            if len(deg2) < 2:
+            if deg2[0] != x or len(deg2) < 2:
                 continue
             if len(deg2) == 3:
                 v, rest = deg2[0], deg2[1:]
             else:
-                v = next(iter(tri - set(deg2)))
+                (v,) = set(tri) - set(deg2)
                 rest = deg2
             pendants.append((rest[0], v, rest[1]))
         pendants.sort(key=lambda t: (label_key(t[1]), label_key(t[0])))
         return LocalFeatures(isolated, tuple(iso_edges), tuple(pendants))
 
     # -- value semantics ---------------------------------------------------
-
-    def _signature(self):
-        return (frozenset(self._adj), frozenset(self.edges()))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -272,7 +267,7 @@ class Graph:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._signature())
+            self._hash = hash(frozenset(self._adj.items()))
         return self._hash
 
     def __repr__(self):
@@ -286,27 +281,19 @@ def verify_induced_matching(g: Graph, matching) -> bool:
     edge of ``g`` joins endpoints of two distinct pairs.  Raises
     UnknownEndpointError if an endpoint does not exist in ``g``.
     """
-    edges = [edge(u, v) for (u, v) in matching]
-    for u, v in edges:
+    pairs = list(matching)
+    for u, v in pairs:
         if u not in g:
             raise UnknownEndpointError(f"unknown endpoint {u!r}")
         if v not in g:
             raise UnknownEndpointError(f"unknown endpoint {v!r}")
-    covered = set()
-    for u, v in edges:
-        if u == v or not g.has_edge(u, v):
+    mate = {}
+    for u, v in pairs:
+        if not g.has_edge(u, v) or u in mate or v in mate:
             return False
-        if u in covered or v in covered:
-            return False
-        covered.add(u)
-        covered.add(v)
-    for i, (a, b) in enumerate(edges):
-        for c, d in edges[i + 1 :]:
-            if (
-                g.has_edge(a, c)
-                or g.has_edge(a, d)
-                or g.has_edge(b, c)
-                or g.has_edge(b, d)
-            ):
-                return False
-    return True
+        mate[u] = v
+        mate[v] = u
+    # Induced iff no matched vertex has a matched neighbour besides its mate.
+    return not any(
+        u in mate and u != w for v, w in mate.items() for u in g.neighbors(v)
+    )

@@ -279,6 +279,13 @@ def gen_cameron_walker(spec: CWSpec, seed: int = 0) -> Graph:
     return Graph.build(labels, edges)
 
 
+# Per generator kind: the keys it takes and the flags it takes.
+_SPEC_KEYS = {
+    "random": (("n", "p"), ()),
+    "cw": (("u", "w", "p", "nu", "nw"), ("tight",)),
+}
+
+
 def parse_generator_spec(text: str):
     """Parse the declarative generator form used by the command line.
 
@@ -293,9 +300,14 @@ def parse_generator_spec(text: str):
     counts (single numbers or lo-hi ranges).  A ``random`` spec with more
     than ``MAX_VERTICES`` vertices, or a ``cw`` spec whose core alone
     (u + w) has more, is refused, since no instance file could hold it.
+    So is a key or flag the kind does not take, and a ``cw`` p outside
+    [0, 1].
     """
     kind, _, body = text.partition(":")
     kind = kind.strip()
+    if kind not in _SPEC_KEYS:
+        raise InvalidSpecError(f"unknown generator kind {kind!r}")
+    keys, known_flags = _SPEC_KEYS[kind]
     options: dict = {}
     flags = set()
     if body:
@@ -305,9 +317,14 @@ def parse_generator_spec(text: str):
                 continue
             if "=" in item:
                 key, _, value = item.partition("=")
-                options[key.strip()] = value.strip()
-            else:
+                key = key.strip()
+                if key not in keys:
+                    raise InvalidSpecError(f"a {kind} spec takes no key {key!r}")
+                options[key] = value.strip()
+            elif item in known_flags:
                 flags.add(item)
+            else:
+                raise InvalidSpecError(f"a {kind} spec takes no flag {item!r}")
     if kind == "random":
         try:
             n = int(options["n"])
@@ -319,31 +336,31 @@ def parse_generator_spec(text: str):
         if n > MAX_VERTICES:
             raise InvalidSpecError(f"n = {n} is more than {MAX_VERTICES} vertices")
         return ("random", {"n": n, "p": p})
-    if kind == "cw":
-        try:
-            num_u = int(options.get("u", 1))
-            num_w = int(options.get("w", 1))
-            p = float(options.get("p", 0.3))
-            nu = _parse_count_range(options.get("nu", "1"))
-            nw = _parse_count_range(options.get("nw", "1"))
-        except (ValueError, InvalidSpecError) as exc:
-            raise InvalidSpecError(f"bad cw spec {text!r}: {exc}") from None
-        if num_u + num_w > MAX_VERTICES:
-            raise InvalidSpecError(
-                f"u + w = {num_u + num_w} is more than {MAX_VERTICES} vertices"
-            )
-        return (
-            "cw",
-            {
-                "u": num_u,
-                "w": num_w,
-                "p": p,
-                "nu": nu,
-                "nw": nw,
-                "tight": "tight" in flags,
-            },
+    try:
+        num_u = int(options.get("u", 1))
+        num_w = int(options.get("w", 1))
+        p = float(options.get("p", 0.3))
+        nu = _parse_count_range(options.get("nu", "1"))
+        nw = _parse_count_range(options.get("nw", "1"))
+    except (ValueError, InvalidSpecError) as exc:
+        raise InvalidSpecError(f"bad cw spec {text!r}: {exc}") from None
+    if not 0 <= p <= 1:
+        raise InvalidSpecError(f"edge probability must be in [0, 1], got {p}")
+    if num_u + num_w > MAX_VERTICES:
+        raise InvalidSpecError(
+            f"u + w = {num_u + num_w} is more than {MAX_VERTICES} vertices"
         )
-    raise InvalidSpecError(f"unknown generator kind {kind!r}")
+    return (
+        "cw",
+        {
+            "u": num_u,
+            "w": num_w,
+            "p": p,
+            "nu": nu,
+            "nw": nw,
+            "tight": "tight" in flags,
+        },
+    )
 
 
 def _parse_count_range(text: str):

@@ -23,9 +23,11 @@ class _View:
     def __init__(self, g: Graph):
         self.labels = g.vertices
         self.index = {v: i for i, v in enumerate(self.labels)}
-        self.adj = [
-            sorted(self.index[u] for u in g.neighbors(v)) for v in self.labels
-        ]
+        # Appending i in increasing order leaves every list sorted.
+        self.adj = [[] for _ in self.labels]
+        for i, v in enumerate(self.labels):
+            for u in g.neighbors(v):
+                self.adj[self.index[u]].append(i)
 
 
 def _lowest_common_base(match, parent, base, a, b):

@@ -123,11 +123,8 @@ def find_path4(g: Graph, component):
     if sub.degree(v) == len(comp) - 1:
         for w in sort_labels(nv):
             for x in sort_labels(sub.neighbors(w) & nv):
-                if x == w:
-                    continue
-                candidates = sort_labels(nv - {w, x})
-                if candidates:
-                    return (candidates[0], v, w, x)
+                # The first x will do: v has at least 3 neighbors.
+                return (sort_labels(nv - {w, x})[0], v, w, x)
         return None  # neighbors pairwise nonadjacent: a star
     if sub.degree(v) < 2:
         return None
@@ -160,10 +157,16 @@ def find_degree2_survivor(g: Graph, component, v):
 
 
 def _smallest_neighbor_in(g: Graph, v, pool):
-    hits = [x for x in g.neighbors(v) if x in pool]
-    if not hits:
-        return None
-    return min(hits, key=label_key)
+    return min((x for x in g.neighbors(v) if x in pool), key=label_key, default=None)
+
+
+def _vertex_branch(g: Graph, rule: Rule, candidates):
+    """The first candidate of degree >= 2 with its two smallest neighbors, or None."""
+    for v in candidates:
+        if g.degree(v) >= 2:
+            u, w = sort_labels(g.neighbors(v))[:2]
+            return BranchChoice(rule, {"v": v, "u": u, "w": w})
+    return None
 
 
 def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
@@ -173,14 +176,13 @@ def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
     (always the case for a nonempty reduced graph).
     """
     if dec.c:
-        for v in sort_labels(dec.c):
-            if g.degree(v) >= 2:
-                u, w = sort_labels(g.neighbors(v))[:2]
-                return BranchChoice(Rule.C_VERTEX, {"v": v, "u": u, "w": w})
-        raise PreconditionViolatedError(
-            "nonempty perfectly-matched part but no vertex of degree at "
-            "least 2 in it; reductions were not exhaustive"
-        )
+        choice = _vertex_branch(g, Rule.C_VERTEX, sort_labels(dec.c))
+        if choice is None:
+            raise PreconditionViolatedError(
+                "nonempty perfectly-matched part but no vertex of degree at "
+                "least 2 in it; reductions were not exhaustive"
+            )
+        return choice
     for u in sort_labels(dec.a):
         v = _smallest_neighbor_in(g, u, dec.a)
         if v is not None:
@@ -279,24 +281,22 @@ def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
                 "w2": w2,
             },
         )
-    for v in g.vertices:
-        if g.degree(v) >= 2:
-            u, w = sort_labels(g.neighbors(v))[:2]
-            return BranchChoice(Rule.DEGREE_TWO, {"v": v, "u": u, "w": w})
-    raise NoRuleAppliesError(
-        "no branching rule applies; a reduced graph of maximum degree at "
-        "most 1 should have been emptied by the reductions"
-    )
+    choice = _vertex_branch(g, Rule.DEGREE_TWO, g.vertices)
+    if choice is None:
+        raise NoRuleAppliesError(
+            "no branching rule applies; a reduced graph of maximum degree at "
+            "most 1 should have been emptied by the reductions"
+        )
+    return choice
 
 
 def _choose_naive(g: Graph) -> BranchChoice:
-    for v in g.vertices:
-        if g.degree(v) >= 2:
-            u, w = sort_labels(g.neighbors(v))[:2]
-            return BranchChoice(Rule.NAIVE, {"v": v, "u": u, "w": w})
-    raise NoRuleAppliesError(
-        "no vertex of degree at least 2 in a reduced nonempty graph"
-    )
+    choice = _vertex_branch(g, Rule.NAIVE, g.vertices)
+    if choice is None:
+        raise NoRuleAppliesError(
+            "no vertex of degree at least 2 in a reduced nonempty graph"
+        )
+    return choice
 
 
 def expand(g: Graph, choice: BranchChoice) -> list:

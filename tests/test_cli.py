@@ -183,6 +183,7 @@ def test_parse_error_exit_2(capsys, tmp_path):
     missing = tmp_path / "missing.im"
     assert cli.main(["solve", str(missing)]) == 2
     assert cli.main(["gen", "bogus:n=1"]) == 2
+    assert cli.main(["gen", "cw:u=2,w=2,nu=1,nw=1,tigth"]) == 2
     too_many = MAX_VERTICES + 1
     assert cli.main(["gen", f"random:n={too_many},p=0.5"]) == 2
     assert cli.main(["gen", f"cw:u={too_many // 2},w={too_many - too_many // 2}"]) == 2

@@ -1,15 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import imsolve as im
+from imsolve import graph as graph_module
 from imsolve.errors import (
     DuplicateEdgeError,
     SelfLoopError,
     UnknownEndpointError,
     UnknownVertexError,
 )
+from imsolve.graph import edge, label_key, sort_labels
 
-from conftest import build, complete, cycle, graphs, path, star
+from conftest import build, complete, cycle, graphs, path, random_graphs, star
 
 
 def test_build_smallest():
@@ -106,6 +111,56 @@ def test_verify_induced_matching_cases():
     assert not im.verify_induced_matching(p4, {(1, 3)})
 
 
+def _pairwise_induced(g, pairs):
+    """Reference check: every pair an edge, no shared endpoint, and no edge
+    between the endpoints of any two pairs."""
+    pairs = [edge(u, v) for u, v in pairs]
+    ends = [x for pair in pairs for x in pair]
+    if len(set(ends)) != len(ends) or not all(g.has_edge(u, v) for u, v in pairs):
+        return False
+    for i, (a, b) in enumerate(pairs):
+        for c, d in pairs[i + 1 :]:
+            if any(g.has_edge(x, y) for x in (a, b) for y in (c, d)):
+                return False
+    return True
+
+
+def _greedy_induced_matching(g, rng):
+    order = g.edges()
+    rng.shuffle(order)
+    taken, blocked = [], set()
+    for u, v in order:
+        if u not in blocked and v not in blocked:
+            taken.append((u, v))
+            blocked |= {u, v} | g.neighbors(u) | g.neighbors(v)
+    return taken
+
+
+def test_verify_induced_matching_matches_pairwise_reference():
+    rng = random.Random(5)
+    outcomes = {True: 0, False: 0}
+    for g in random_graphs(300, max_n=12, seed0=71, min_n=2):
+        vs = list(g.vertices)
+        es = g.edges()
+        good = _greedy_induced_matching(g, rng)
+        candidates = [
+            good,
+            [(v, u) for u, v in good],  # reversed pairs
+            good + good[:1],  # a duplicated pair
+            [tuple(rng.sample(vs, 2)) for _ in range(rng.randint(1, 3))],
+            rng.sample(es, min(len(es), rng.randint(1, 4))),  # often not induced
+        ]
+        if es:
+            u, v = rng.choice(es)
+            w = rng.choice([x for x in vs if x not in (u, v)] or [u])
+            candidates.append(good + [(u, v), (v, w)])  # shared endpoint
+        for pairs in candidates:
+            expected = _pairwise_induced(g, pairs)
+            assert im.verify_induced_matching(g, pairs) == expected, (g.edges(), pairs)
+            outcomes[expected] += 1
+    assert min(outcomes.values()) >= 300
+
+
 @given(graphs(max_n=7))
 def test_degree_sum_is_twice_edges(g):
     assert sum(g.degree(v) for v in g.vertices) == 2 * g.edge_count
@@ -147,3 +202,53 @@ def test_induced_matching_survives_into_host(g):
     sub = g.induced(keep)
     _, witness = im.brute_im(sub)
     assert im.verify_induced_matching(g, witness)
+
+
+def test_label_order_is_decided_once(monkeypatch):
+    g = cycle(60)
+    calls = []
+    real = graph_module.label_key
+
+    def counting(label):
+        calls.append(label)
+        return real(label)
+
+    monkeypatch.setattr(graph_module, "label_key", counting)
+    deleted = g.delete_vertices({1, 30})
+    kept = g.induced(range(10, 40))
+    for h in (g, deleted, kept):
+        h.local_features()
+    assert calls == []
+    assert deleted.vertices == tuple(v for v in range(1, 61) if v not in (1, 30))
+    assert kept.vertices == tuple(range(10, 40))
+
+
+@st.composite
+def shuffled_mixed_graphs(draw, max_n=9):
+    """(labels, edges, graph): int and str labels, built in shuffled order
+    with edges given in either orientation."""
+    label = st.one_of(st.integers(-30, 30), st.text("abxyz", min_size=1, max_size=3))
+    labels = draw(st.permutations(draw(st.lists(label, unique=True, max_size=max_n))))
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    return labels, edges, im.Graph.build(labels, edges)
+
+
+def _sorted_pairs(edges):
+    return sorted(
+        (edge(u, v) for u, v in edges), key=lambda e: (label_key(e[0]), label_key(e[1]))
+    )
+
+
+@given(shuffled_mixed_graphs(), st.data())
+def test_derived_graphs_keep_label_order(case, data):
+    labels, edges, g = case
+    assert g.vertices == tuple(sort_labels(labels))
+    assert g.edges() == _sorted_pairs(edges)
+    drop = data.draw(st.sets(st.sampled_from(labels))) if labels else set()
+    keep = data.draw(st.sets(st.sampled_from(labels))) if labels else set()
+    for h, vs in ((g.delete_vertices(drop), set(labels) - drop), (g.induced(keep), keep)):
+        assert h.vertices == tuple(sort_labels(vs))
+        assert list(h) == list(h.vertices)
+        assert h.edges() == _sorted_pairs((u, v) for u, v in edges if u in vs and v in vs)

@@ -195,6 +195,22 @@ def test_parse_generator_spec_errors():
         parse_generator_spec(f"random:n={too_many},p=0.5")
     with pytest.raises(InvalidSpecError):
         parse_generator_spec(f"cw:u={too_many - 5},w=5")
+    for bad in (
+        "random:n=8,q=0.9",  # unknown key
+        "random:n=8,tight",  # random takes no flag
+        "cw:u=2,w=2,nu=1,nw=1,tigth",  # unknown flag
+        "cw:u=2,w=2,n=4",  # unknown key
+        "cw:u=2,w=2,p=1.5",
+        "cw:u=2,w=2,p=-0.1",
+    ):
+        with pytest.raises(InvalidSpecError):
+            parse_generator_spec(bad)
+    with pytest.raises(InvalidSpecError, match="'q'"):
+        parse_generator_spec("random:n=8,q=0.9")
+    with pytest.raises(InvalidSpecError, match="'tigth'"):
+        parse_generator_spec("cw:u=2,w=2,nu=1,nw=1,tigth")
+    kind, opts = parse_generator_spec("cw:u=2,w=2,p=1,nu=1,nw=1,tight")
+    assert kind == "cw" and opts["p"] == 1 and opts["tight"]
     kind, _ = parse_generator_spec(f"random:n={MAX_VERTICES},p=0")
     assert kind == "random"
     kind, opts = parse_generator_spec(f"cw:u={MAX_VERTICES - 5},w=5")
