@@ -23,16 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    AcyclicError,
-    AuditTooLargeError,
-    DisconnectedError,
-    IMSolveError,
-    InvalidSpecError,
-    NotACliqueError,
-    ParseError,
-    TooLargeError,
-)
+from .errors import AuditTooLargeError, IMSolveError, InvalidSpecError, TooLargeError
 from .gallai_edmonds import audit, decompose
 from .instances import (
     generate,
@@ -351,6 +342,8 @@ def _cmd_reduce_mis(args) -> int:
 
 def _cmd_bench(args) -> int:
     directory = Path(args.directory)
+    if not directory.is_dir():
+        raise NotADirectoryError(f"not a directory: {args.directory!r}")
     rows = []
     for path in sorted(directory.glob("*.im")):
         inst = read_instance(path.read_text())
@@ -404,18 +397,7 @@ def main(argv=None) -> int:
     except (TooLargeError, AuditTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (
-        ParseError,
-        InvalidSpecError,
-        NotACliqueError,
-        AcyclicError,
-        DisconnectedError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except IMSolveError as exc:
+    except (IMSolveError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

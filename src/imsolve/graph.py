@@ -84,7 +84,6 @@ class Graph:
         unordered pairs) and endpoints outside ``labels``.
         """
         adj = {v: set() for v in sort_labels(set(labels))}
-        seen = set()
         for u, v in edges:
             if u == v:
                 raise SelfLoopError(f"self-loop at {u!r}")
@@ -92,10 +91,8 @@ class Graph:
                 raise UnknownEndpointError(f"endpoint {u!r} not among the vertices")
             if v not in adj:
                 raise UnknownEndpointError(f"endpoint {v!r} not among the vertices")
-            e = edge(u, v)
-            if e in seen:
-                raise DuplicateEdgeError(f"duplicate edge {e!r}")
-            seen.add(e)
+            if v in adj[u]:
+                raise DuplicateEdgeError(f"duplicate edge {edge(u, v)!r}")
             adj[u].add(v)
             adj[v].add(u)
         return cls({v: frozenset(ns) for v, ns in adj.items()})
@@ -245,16 +242,18 @@ class Graph:
             a, b = nbrs
             if b not in adj[a]:
                 continue
-            tri = (x, a, b)
-            deg2 = [y for y in sort_labels(tri) if len(adj[y]) == 2]
-            if deg2[0] != x or len(deg2) < 2:
-                continue
-            if len(deg2) == 3:
-                v, rest = deg2[0], deg2[1:]
-            else:
-                (v,) = set(tri) - set(deg2)
-                rest = deg2
-            pendants.append((rest[0], v, rest[1]))
+            a2 = len(adj[a]) == 2
+            b2 = len(adj[b]) == 2
+            if a2 and b2:
+                # An isolated triangle, reported from its smallest vertex.
+                kx, ka, kb = label_key(x), label_key(a), label_key(b)
+                if kx < ka and kx < kb:
+                    pendants.append((a, x, b) if ka < kb else (b, x, a))
+            elif a2 or b2:
+                # y is the other degree-2 vertex and v the third one.
+                y, v = (a, b) if a2 else (b, a)
+                if label_key(x) < label_key(y):
+                    pendants.append((x, v, y))
         pendants.sort(key=lambda t: (label_key(t[1]), label_key(t[0])))
         return LocalFeatures(isolated, tuple(iso_edges), tuple(pendants))
 

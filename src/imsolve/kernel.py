@@ -15,7 +15,10 @@ isolated-edge step, then at most the first pendant-triangle step.  Deleting
 an isolated vertex or edge changes no other vertex's degree, so a round
 makes the same steps, in the same order, as applying one rule at a time
 and rescanning after each.  Only the pendant-triangle step can create new
-features, which the next round picks up.
+features, which the next round picks up.  So a round without a
+pendant-triangle step is the last, since a scan after it would find
+nothing to do, and a reduction makes one scan more than it takes
+pendant-triangle steps.
 
 Every application is recorded in a trace so tests can replay the exact
 deletion sequence step by step.
@@ -85,13 +88,15 @@ def reduce_instance(inst: Instance, *, pendant_triangles: bool = True):
                 steps.append(ReductionStep(RULE_ISOLATED_EDGE, e, e))
             else:
                 steps.append(ReductionStep(RULE_ISOLATED_EDGE, e, None))
-        if pendant_triangles and feats.pendant_triangles:
-            _, v, _ = feats.pendant_triangles[0]
+        triangles = pendant_triangles and feats.pendant_triangles
+        if triangles:
+            _, v, _ = triangles[0]
             doomed.add(v)
             steps.append(ReductionStep(RULE_PENDANT_TRIANGLE, (v,), None))
-        if not doomed:
+        if doomed:
+            g = g.delete_vertices(doomed)
+        if not triangles:
             break
-        g = g.delete_vertices(doomed)
     return Instance(g, ell), frozenset(harvested), ReductionTrace(tuple(steps))
 
 

@@ -10,6 +10,9 @@ equality between the matching-type invariants: ``recognize_cameron_walker``
 detects graphs whose maximum matching and maximum induced matching sizes
 coincide, ``classify_tight`` the (rarer) graphs where the induced matching
 number reaches the average of matching number and independence number.
+Both recognizers, and ``triangle_star_parts``, take pendant triangles from
+``Graph.local_features``, the same scan the kernel's pendant-triangle rule
+reads, so the structure is defined in one place.
 """
 
 from __future__ import annotations
@@ -261,40 +264,22 @@ def triangle_star_parts(g: Graph, vertices=None):
 
     A triangle star is a triangle with any number of further pendant
     triangles attached to one shared center; the test applies to ``g`` or
-    to the subgraph induced by ``vertices``.  It is a plain triangle (whose
-    smallest vertex is taken as the center), or it has a unique vertex of
-    degree at least 3 whose removal leaves a disjoint union of edges, all
-    of whose endpoints are adjacent to that vertex.  Pairs come out sorted:
-    each is ``(x, partner)`` for the smallest vertex ``x`` not yet paired.
+    to the subgraph induced by ``vertices``.  It reads the pendant
+    triangles of :meth:`Graph.local_features`: a graph is a triangle star
+    exactly when it has ``2k + 1`` vertices and ``k >= 1`` pendant
+    triangles that all delete the same vertex, the center (for a plain
+    triangle, its smallest vertex).  Pairs keep the scan's order, which is
+    sorted: each is ``(x, partner)`` for the smallest vertex ``x`` not yet
+    paired.
     """
     sub = g if vertices is None else g.induced(vertices)
-    n = sub.vertex_count
-    if n < 3 or n % 2 == 0:
+    triangles = sub.local_features().pendant_triangles
+    if not triangles or sub.vertex_count != 2 * len(triangles) + 1:
         return None
-    if n == 3:
-        if sub.edge_count != 3:
-            return None
-        center, a, b = sub.vertices
-        return center, ((a, b),)
-    centers = [v for v in sub.vertices if sub.degree(v) >= 3]
-    if len(centers) != 1:
+    center = triangles[0][1]
+    if any(v != center for _, v, _ in triangles):
         return None
-    (center,) = centers
-    pairs = []
-    paired = set()
-    for x in sub.vertices:
-        if x == center or x in paired:
-            continue
-        nbrs = sub.neighbors(x)
-        if len(nbrs) != 2 or center not in nbrs:
-            return None
-        # partner is not the center, so its degree is at most 2
-        (partner,) = nbrs - {center}
-        if center not in sub.neighbors(partner):
-            return None
-        pairs.append((x, partner))
-        paired.update((x, partner))
-    return center, tuple(pairs)
+    return center, tuple((u, w) for u, _, w in triangles)
 
 
 def is_triangle_star(g: Graph, vertices=None) -> bool:

@@ -64,6 +64,8 @@ class BranchChoice:
         in-triangle partners);
       four-path: u, v, w, x (the path), vp/v1/v2 and wp/w1/w2 (a vertex of
         degree two after deleting v resp. w, with its two neighbors).
+
+    ``_CHILDREN`` lists the vertices each child of a rule deletes.
     """
 
     rule: Rule
@@ -223,38 +225,33 @@ def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
                 long_comp = comp
             continue
         _, pairs = parts
+        partner = {x: y for pair in pairs for x, y in (pair, pair[::-1])}
         # Outer vertices of distinct pendant triangles are nonadjacent;
         # after exhausting the pendant-triangle reduction, each pair has
         # a member with a separator neighbor.
-        anchored = []
-        for pair_index, pair in enumerate(pairs):
-            for x in pair:
-                if _smallest_neighbor_in(g, x, dec.a) is not None:
-                    anchored.append((x, pair_index, pair))
-        anchored.sort(key=lambda t: label_key(t[0]))
+        sep = {x: _smallest_neighbor_in(g, x, dec.a) for x in sort_labels(partner)}
+        anchored = [x for x, a in sep.items() if a is not None]
         if not anchored:
             raise PreconditionViolatedError(
                 "triangle-star component with no separator neighbors"
             )
-        u, u_pair_index, u_pair = anchored[0]
-        rest = [t for t in anchored if t[1] != u_pair_index]
+        u = anchored[0]
+        rest = [x for x in anchored if x not in (u, partner[u])]
         if not rest:
             raise PreconditionViolatedError(
                 "triangle-star component with separator contact in only "
                 "one pendant triangle"
             )
-        v, _, v_pair = rest[0]
-        uc = u_pair[0] if u_pair[1] == u else u_pair[1]
-        vc = v_pair[0] if v_pair[1] == v else v_pair[1]
+        v = rest[0]
         return BranchChoice(
             Rule.TRIANGLE_STAR,
             {
                 "u": u,
                 "v": v,
-                "ua": _smallest_neighbor_in(g, u, dec.a),
-                "va": _smallest_neighbor_in(g, v, dec.a),
-                "uc": uc,
-                "vc": vc,
+                "ua": sep[u],
+                "va": sep[v],
+                "uc": partner[u],
+                "vc": partner[v],
             },
         )
     if long_comp is not None:
@@ -299,62 +296,40 @@ def _choose_naive(g: Graph) -> BranchChoice:
     return choice
 
 
+# The children of each rule in the rule statement's order (first listed
+# child explored first).  A child names the actors whose vertices it
+# deletes; one that starts with "N" deletes instead the outside
+# neighborhood N(X) of the actors X that follow.
+_CHILDREN = {
+    Rule.C_VERTEX: ("v", "u", "w"),
+    Rule.DEGREE_TWO: ("v", "u", "w"),
+    Rule.NAIVE: ("u", "v", "w"),
+    Rule.A_EDGE: ("u", "v", "N u v"),
+    Rule.TRIANGLE: ("ua", "u va", "u v", "u w", "v ua", "v u", "v w"),
+    Rule.TRIANGLE_STAR: ("ua", "u v", "u va", "u vc", "uc v", "uc va", "uc vc"),
+    Rule.FOUR_PATH: ("v vp", "v v1", "v v2", "w wp", "w w1", "w w2", "N v w"),
+}
+
+
 def expand(g: Graph, choice: BranchChoice) -> list:
-    """The deletion sets that define the children of a branching choice.
+    """The deletion sets that define the children of a branching choice,
+    read from ``_CHILDREN``.
 
     Each child is ``g`` minus one of these sets, with the parent's target;
-    no graph is built here.  Order follows the rule statements (first
-    listed child explored first).
+    no graph is built here.
     """
-    a = choice.actors
-    rule = choice.rule
-    if rule in (Rule.C_VERTEX, Rule.DEGREE_TWO):
-        deletions = [{a["v"]}, {a["u"]}, {a["w"]}]
-    elif rule is Rule.NAIVE:
-        deletions = [{a["u"]}, {a["v"]}, {a["w"]}]
-    elif rule is Rule.A_EDGE:
-        hood = g.neighborhood_of_set({a["u"], a["v"]})
+    deletions = []
+    for child in _CHILDREN[choice.rule]:
+        keys = child.split()
+        if keys[0] != "N":
+            deletions.append({choice.actors[k] for k in keys})
+            continue
+        hood = g.neighborhood_of_set({choice.actors[k] for k in keys[1:]})
         if not hood:
             raise PreconditionViolatedError(
                 "branch on an adjacent pair with empty outside neighborhood"
             )
-        deletions = [{a["u"]}, {a["v"]}, set(hood)]
-    elif rule is Rule.TRIANGLE:
-        u, v, w, ua, va = a["u"], a["v"], a["w"], a["ua"], a["va"]
-        deletions = [
-            {ua},
-            {u, va},
-            {u, v},
-            {u, w},
-            {v, ua},
-            {v, u},
-            {v, w},
-        ]
-    elif rule is Rule.TRIANGLE_STAR:
-        u, v, ua, va, uc, vc = a["u"], a["v"], a["ua"], a["va"], a["uc"], a["vc"]
-        deletions = [
-            {ua},
-            {u, v},
-            {u, va},
-            {u, vc},
-            {uc, v},
-            {uc, va},
-            {uc, vc},
-        ]
-    elif rule is Rule.FOUR_PATH:
-        v, w = a["v"], a["w"]
-        hood = g.neighborhood_of_set({v, w})
-        deletions = [
-            {v, a["vp"]},
-            {v, a["v1"]},
-            {v, a["v2"]},
-            {w, a["wp"]},
-            {w, a["w1"]},
-            {w, a["w2"]},
-            set(hood),
-        ]
-    else:  # pragma: no cover - exhaustive over Rule
-        raise NoRuleAppliesError(f"unknown rule {rule!r}")
+        deletions.append(set(hood))
     return deletions
 
 

@@ -190,6 +190,11 @@ def test_parse_error_exit_2(capsys, tmp_path):
     huge = tmp_path / "huge.im"
     huge.write_text("p im 1000000000000 0 0\n")
     assert cli.main(["solve", str(huge)]) == 2
+    assert cli.main(["solve", str(tmp_path)]) == 2  # a directory, not a file
+    ok = tmp_path / "ok.im"
+    ok.write_text(im.write_instance(Instance(cycle(5), 1)))
+    assert cli.main(["solve", str(ok), "--trace", str(tmp_path)]) == 2
+    assert cli.main(["bench", str(huge)]) == 2  # a file, not a directory
 
 
 def test_usage_error_exit_2():

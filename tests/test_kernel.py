@@ -160,6 +160,26 @@ def test_rounds_match_one_rule_per_scan():
                 assert (reduced, harvested, trace.steps) == one_rule_per_scan(inst, mode)
 
 
+def test_one_scan_per_pendant_triangle_step_plus_one(monkeypatch):
+    scans = 0
+    original = im.Graph.local_features
+
+    def counted(self):
+        nonlocal scans
+        scans += 1
+        return original(self)
+
+    monkeypatch.setattr(im.Graph, "local_features", counted)
+    cw = [im.generate("cw:u=2,w=3,p=0.4,nu=1,nw=1-2,tight", seed=s) for s in range(10)]
+    for g in random_graphs(200, max_n=12, seed0=61) + cw:
+        for ell in range(g.vertex_count // 2 + 2):
+            for mode in (True, False):
+                scans = 0
+                _, _, trace = reduce_instance(Instance(g, ell), pendant_triangles=mode)
+                steps = [s.rule for s in trace.steps].count(RULE_PENDANT_TRIANGLE)
+                assert scans == (steps + 1 if mode else 1)
+
+
 def test_terminal_state_order():
     assert terminal_state(Instance(cycle(5), 0), 0, 0) is TerminalState.YES
     assert terminal_state(Instance(build(3), 2), 0, 9) is TerminalState.NO

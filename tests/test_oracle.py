@@ -5,6 +5,7 @@ import pytest
 
 import imsolve as im
 from imsolve.errors import DisconnectedError, TooLargeError
+from imsolve.graph import label_key, sort_labels
 from imsolve.oracle import (
     ISOLATED_EDGE,
     NOT_CAMERON_WALKER,
@@ -130,6 +131,54 @@ def test_triangle_star_parts():
         "s",
         (("u1", "w1"), ("u2", "w2")),
     )
+
+
+def reference_triangle_star_parts(g):
+    """Some vertex c is adjacent to all others and G - c is a nonempty
+    disjoint union of edges; for a triangle, c is its smallest vertex.
+    Pairs are sorted by their smaller endpoint."""
+    for c in sort_labels(g.vertices):
+        if g.degree(c) != g.vertex_count - 1:
+            continue
+        rest = g.delete_vertices({c})
+        if rest.vertex_count and all(rest.degree(x) == 1 for x in rest.vertices):
+            pairs = {tuple(sort_labels((x, *rest.neighbors(x)))) for x in rest.vertices}
+            return c, tuple(sorted(pairs, key=lambda pair: label_key(pair[0])))
+    return None
+
+
+def test_triangle_star_parts_matches_reference_on_small_graphs():
+    rng = random.Random(71)
+    stars = 0
+    for g in all_labeled_graphs(6):
+        want = reference_triangle_star_parts(g)
+        assert triangle_star_parts(g) == want
+        stars += want is not None
+        keep = [v for v in g.vertices if rng.random() < 0.7]
+        want = reference_triangle_star_parts(g.induced(keep))
+        assert triangle_star_parts(g, keep) == want
+    assert stars == 1 + 5 * 3  # the triangle and the labeled bowties
+
+
+def test_triangle_star_parts_matches_reference_on_perturbed_stars():
+    rng = random.Random(73)
+    for k in range(1, 6):
+        for _ in range(10):
+            labels = rng.sample(list(range(20)) + [f"v{i}" for i in range(20)], 2 * k + 1)
+            center, outer = labels[0], labels[1:]
+            edges = {frozenset((center, x)) for x in outer}
+            edges |= {frozenset(outer[i : i + 2]) for i in range(0, 2 * k, 2)}
+            non_edges = [
+                frozenset(e) for e in combinations(labels, 2) if frozenset(e) not in edges
+            ]
+            variants = [edges] + [edges - {e} for e in edges] + [edges | {e} for e in non_edges]
+            for variant in variants:
+                pairs = [tuple(e) for e in variant]
+                rng.shuffle(pairs)
+                shuffled = rng.sample(labels, len(labels))
+                g = im.Graph.build(shuffled, pairs)
+                assert triangle_star_parts(g) == reference_triangle_star_parts(g)
+                assert (triangle_star_parts(g) is not None) == (variant is edges)
 
 
 def test_recognize_landmarks():

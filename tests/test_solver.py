@@ -218,6 +218,12 @@ def test_expand_a_edge_children():
     ]
 
 
+def test_expand_refuses_an_empty_neighborhood_child():
+    g = build(2, [(1, 2)])
+    with pytest.raises(PreconditionViolatedError):
+        expand(g, BranchChoice(Rule.A_EDGE, {"u": 1, "v": 2}))
+
+
 def test_expand_four_path_spec_example():
     # explicit path (1,2,3,4) on the 5-cycle: the last child deletes the
     # outside neighborhood of the two middle vertices
