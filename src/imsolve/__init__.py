@@ -30,7 +30,6 @@ from .instances import (
 from .kernel import (
     Instance,
     ReductionStep,
-    ReductionTrace,
     TerminalState,
     reduce_instance,
     terminal_state,
@@ -82,7 +81,6 @@ __all__ = [
     "LocalFeatures",
     "ParameterReport",
     "ReductionStep",
-    "ReductionTrace",
     "Rule",
     "SearchStats",
     "SolveResult",

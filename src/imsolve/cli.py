@@ -40,7 +40,7 @@ from .oracle import (
     recognize_cameron_walker,
 )
 from .graph import sort_labels
-from .solver import Answer, solve_auto, solve_imba, solve_imbtg
+from .solver import Answer, SolveResult, solve_auto, solve_imba, solve_imbtg
 
 EXIT_OK = 0
 EXIT_ANSWER_NO = 1
@@ -211,8 +211,11 @@ def _cmd_solve(args) -> int:
             return solve_imba(inst, args.budget, trace=trace), "fixed"
         if args.oracle_k:
             report = parameters(inst.graph, inst.ell, cap=args.cap)
-            budget = max(0, report.budget)
-            return solve_auto(inst, trusted_budget=budget, trace=trace), "oracle-k"
+            result = solve_imba(inst, max(0, report.budget), trace=trace)
+            # Twice the exact potential bounds every yes-path, so Exhausted is No.
+            if result.answer is Answer.EXHAUSTED:
+                result = SolveResult(Answer.NO, None, result.stats)
+            return result, "oracle-k"
         return solve_auto(inst, trace=trace), "auto"
 
     return _solve_command(args, "solve", "imba", solve)

@@ -66,7 +66,7 @@ class Graph:
     graph inherits it, so vertices, edges and scans come out sorted.
     """
 
-    __slots__ = ("_adj", "_hash")
+    __slots__ = ("_adj",)
 
     def __init__(self, adjacency: dict):
         # Internal constructor: keeps ``adjacency``, a fresh symmetric
@@ -74,7 +74,6 @@ class Graph:
         # Only build() sorts; derived graphs filter their parent's items in
         # order.  Users go through Graph.build().
         self._adj = adjacency
-        self._hash = None
 
     @classmethod
     def build(cls, labels: Iterable, edges: Iterable) -> "Graph":
@@ -228,34 +227,35 @@ class Graph:
         triangle is reported once, from its smallest degree-2 vertex.
         """
         adj = self._adj
-        isolated = tuple(v for v, nbrs in adj.items() if not nbrs)
+        isolated = []
         iso_edges = []
-        for v, nbrs in adj.items():
-            if len(nbrs) == 1:
-                (u,) = nbrs
-                if len(adj[u]) == 1 and label_key(v) < label_key(u):
-                    iso_edges.append((v, u))
         pendants = []
         for x, nbrs in adj.items():
-            if len(nbrs) != 2:
-                continue
-            a, b = nbrs
-            if b not in adj[a]:
-                continue
-            a2 = len(adj[a]) == 2
-            b2 = len(adj[b]) == 2
-            if a2 and b2:
-                # An isolated triangle, reported from its smallest vertex.
-                kx, ka, kb = label_key(x), label_key(a), label_key(b)
-                if kx < ka and kx < kb:
-                    pendants.append((a, x, b) if ka < kb else (b, x, a))
-            elif a2 or b2:
-                # y is the other degree-2 vertex and v the third one.
-                y, v = (a, b) if a2 else (b, a)
-                if label_key(x) < label_key(y):
-                    pendants.append((x, v, y))
+            deg = len(nbrs)
+            if deg == 0:
+                isolated.append(x)
+            elif deg == 1:
+                (u,) = nbrs
+                if len(adj[u]) == 1 and label_key(x) < label_key(u):
+                    iso_edges.append((x, u))
+            elif deg == 2:
+                a, b = nbrs
+                if b not in adj[a]:
+                    continue
+                a2 = len(adj[a]) == 2
+                b2 = len(adj[b]) == 2
+                if a2 and b2:
+                    # An isolated triangle, reported from its smallest vertex.
+                    kx, ka, kb = label_key(x), label_key(a), label_key(b)
+                    if kx < ka and kx < kb:
+                        pendants.append((a, x, b) if ka < kb else (b, x, a))
+                elif a2 or b2:
+                    # y is the other degree-2 vertex and v the third one.
+                    y, v = (a, b) if a2 else (b, a)
+                    if label_key(x) < label_key(y):
+                        pendants.append((x, v, y))
         pendants.sort(key=lambda t: (label_key(t[1]), label_key(t[0])))
-        return LocalFeatures(isolated, tuple(iso_edges), tuple(pendants))
+        return LocalFeatures(tuple(isolated), tuple(iso_edges), tuple(pendants))
 
     # -- value semantics ---------------------------------------------------
 
@@ -265,9 +265,7 @@ class Graph:
         return self._adj == other._adj
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._adj.items()))
-        return self._hash
+        return hash(frozenset(self._adj.items()))
 
     def __repr__(self):
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"

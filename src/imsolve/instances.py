@@ -161,10 +161,8 @@ def write_instance(inst: Instance) -> str:
     g = inst.graph
     index = {v: i for i, v in enumerate(g.vertices, start=1)}
     lines = [f"p im {g.vertex_count} {g.edge_count} {inst.ell}"]
-    pairs = sorted(
-        (min(index[u], index[v]), max(index[u], index[v])) for u, v in g.edges()
-    )
-    lines.extend(f"e {a} {b}" for a, b in pairs)
+    # edges() yields each pair smaller label first, in label order.
+    lines.extend(f"e {index[u]} {index[v]}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
 

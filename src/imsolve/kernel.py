@@ -20,8 +20,8 @@ pendant-triangle step is the last, since a scan after it would find
 nothing to do, and a reduction makes one scan more than it takes
 pendant-triangle steps.
 
-Every application is recorded in a trace so tests can replay the exact
-deletion sequence step by step.
+Every application is returned as a ``ReductionStep`` so tests can replay
+the exact deletion sequence step by step.
 """
 
 from __future__ import annotations
@@ -55,19 +55,12 @@ class ReductionStep:
     harvested: tuple | None  # an edge, present only for harvesting steps
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    steps: tuple
-
-    def __len__(self):
-        return len(self.steps)
-
-
 def reduce_instance(inst: Instance, *, pendant_triangles: bool = True):
     """Apply the reduction rules exhaustively, one feature scan per round.
 
-    Returns ``(reduced, harvested, trace)`` where ``harvested`` is the set
-    of isolated edges folded into the certificate.  With
+    Returns ``(reduced, harvested, steps)`` where ``harvested`` is the set
+    of isolated edges folded into the certificate and ``steps`` the tuple of
+    ``ReductionStep``s in the order they were applied.  With
     ``pendant_triangles=False`` only the two degree-based rules run (the
     below-trivial-guarantee solver uses that mode).
     """
@@ -97,7 +90,7 @@ def reduce_instance(inst: Instance, *, pendant_triangles: bool = True):
             g = g.delete_vertices(doomed)
         if not triangles:
             break
-    return Instance(g, ell), frozenset(harvested), ReductionTrace(tuple(steps))
+    return Instance(g, ell), frozenset(harvested), tuple(steps)
 
 
 class TerminalState(Enum):

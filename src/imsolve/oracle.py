@@ -267,7 +267,8 @@ def triangle_star_parts(g: Graph, vertices=None):
     to the subgraph induced by ``vertices``.  It reads the pendant
     triangles of :meth:`Graph.local_features`: a graph is a triangle star
     exactly when it has ``2k + 1`` vertices and ``k >= 1`` pendant
-    triangles that all delete the same vertex, the center (for a plain
+    triangles.  Their pairs are disjoint and hold no center, so every
+    triangle deletes the one vertex left over, the center (for a plain
     triangle, its smallest vertex).  Pairs keep the scan's order, which is
     sorted: each is ``(x, partner)`` for the smallest vertex ``x`` not yet
     paired.
@@ -276,16 +277,12 @@ def triangle_star_parts(g: Graph, vertices=None):
     triangles = sub.local_features().pendant_triangles
     if not triangles or sub.vertex_count != 2 * len(triangles) + 1:
         return None
-    center = triangles[0][1]
-    if any(v != center for _, v, _ in triangles):
-        return None
-    return center, tuple((u, w) for u, _, w in triangles)
+    return triangles[0][1], tuple((u, w) for u, _, w in triangles)
 
 
-def is_triangle_star(g: Graph, vertices=None) -> bool:
-    """Whether ``g`` (or the subgraph induced by ``vertices``) is a triangle
-    star; see :func:`triangle_star_parts`."""
-    return triangle_star_parts(g, vertices) is not None
+def is_triangle_star(g: Graph) -> bool:
+    """Whether ``g`` is a triangle star; see :func:`triangle_star_parts`."""
+    return triangle_star_parts(g) is not None
 
 
 def _peel(g: Graph):
@@ -298,11 +295,9 @@ def _peel(g: Graph):
     feats = g.local_features()
     tri_members = set()
     triangle_map: dict = {}
+    # Pendant-triangle pairs are disjoint, so no vertex is claimed twice.
     for u, v, w in feats.pendant_triangles:
-        if u in tri_members or w in tri_members:
-            return None
-        tri_members.add(u)
-        tri_members.add(w)
+        tri_members.update((u, w))
         triangle_map.setdefault(v, []).append((u, w))
     pendant_map: dict = {}
     pendant_vs = set()

@@ -79,8 +79,8 @@ class SearchStats:
     branchings_by_rule: dict = field(default_factory=dict)
     reductions_by_rule: dict = field(default_factory=dict)
 
-    def record_reductions(self, trace):
-        for step in trace.steps:
+    def record_reductions(self, steps):
+        for step in steps:
             self.reductions_by_rule[step.rule] = (
                 self.reductions_by_rule.get(step.rule, 0) + 1
             )
@@ -128,8 +128,6 @@ def find_path4(g: Graph, component):
                 # The first x will do: v has at least 3 neighbors.
                 return (sort_labels(nv - {w, x})[0], v, w, x)
         return None  # neighbors pairwise nonadjacent: a star
-    if sub.degree(v) < 2:
-        return None
     outside = frozenset(order) - nv - {v}
     for w in sort_labels(nv):
         hits = sort_labels(sub.neighbors(w) & outside)
@@ -190,11 +188,11 @@ def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
         if v is not None:
             return BranchChoice(Rule.A_EDGE, {"u": u, "v": v})
     for comp in dec.d_components:
+        # D-components are factor-critical, and on three vertices that
+        # means a triangle.
         if len(comp) != 3:
             continue
         members = sort_labels(comp)
-        if not all(g.has_edge(a, b) for a, b in ((members[0], members[1]), (members[0], members[2]), (members[1], members[2]))):
-            continue
         with_sep = [
             x for x in members if _smallest_neighbor_in(g, x, dec.a) is not None
         ]
@@ -425,21 +423,13 @@ def solve_imba(inst: Instance, budget: int, *, trace=None) -> SolveResult:
     )
 
 
-def solve_auto(inst: Instance, *, trusted_budget=None, trace=None) -> SolveResult:
+def solve_auto(inst: Instance, *, trace=None) -> SolveResult:
     """Definitive Yes/No from one exhaustive decomposition-guided search.
 
     The search runs once, at the budget ``n - 2*ell + 1``, which no path
-    can reach (see ``_exhaustive``), so its No is final.  When a trusted
-    budget is supplied instead (for example twice the oracle-computed
-    parameter), the search runs at that budget and Exhausted is mapped to
-    No.
+    can reach (see ``_exhaustive``), so its No is final.
     """
-    if trusted_budget is None:
-        return _exhaustive(inst, lambda budget: solve_imba(inst, budget, trace=trace))
-    result = solve_imba(inst, trusted_budget, trace=trace)
-    if result.answer is Answer.EXHAUSTED:
-        return SolveResult(Answer.NO, None, result.stats)
-    return result
+    return _exhaustive(inst, lambda budget: solve_imba(inst, budget, trace=trace))
 
 
 def solve_imbtg(inst: Instance, *, trace=None) -> SolveResult:

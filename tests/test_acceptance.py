@@ -137,8 +137,8 @@ def test_criterion_3_measure_drops():
         if steps >= MEASURE_STEP_QUOTA:
             return
         g, ell = inst.graph, inst.ell
-        reduced, _, trace = reduce_instance(inst)
-        for step in trace.steps:
+        reduced, _, reductions = reduce_instance(inst)
+        for step in reductions:
             g2 = g.delete_vertices(step.deleted)
             ell2 = ell - 1 if step.harvested is not None else ell
             if potential(g2, ell2) > potential(g, ell):

@@ -14,7 +14,16 @@ from imsolve.errors import (
 )
 from imsolve.graph import edge, label_key, sort_labels
 
-from conftest import build, complete, cycle, graphs, path, random_graphs, star
+from conftest import (
+    all_labeled_graphs,
+    build,
+    complete,
+    cycle,
+    graphs,
+    path,
+    random_graphs,
+    star,
+)
 
 
 def test_build_smallest():
@@ -95,6 +104,35 @@ def test_local_features_isolated_triangle():
     # all three degrees are 2: the smallest vertex is reported as survivor
     feats = complete(3).local_features()
     assert feats.pendant_triangles == ((2, 1, 3),)
+
+
+def test_pendant_triangle_pairs_are_disjoint_and_hold_no_center():
+    # triangle_star_parts and oracle._peel rely on this: with 2k + 1
+    # vertices and k pendant triangles one vertex is left outside the
+    # pairs, and it is the center of every triangle.
+    specs = ("cw:u=2,w=2,p=0.5,nu=1-2,nw=0-2", "cw:u=2,w=3,p=0.4,nu=1,nw=1-2,tight")
+    cw = [im.generate(spec, seed=seed) for spec in specs for seed in range(40)]
+    rng = random.Random(71)
+    stars = []
+    for k in range(1, 6):
+        g = im.triangle_star_graph(k)
+        for _ in range(10):
+            names = dict(zip(g.vertices, rng.sample(range(100), g.vertex_count)))
+            names.update({v: f"v{names[v]}" for v in rng.sample(g.vertices, k)})
+            stars.append(
+                im.Graph.build(names.values(), [(names[u], names[v]) for u, v in g.edges()])
+            )
+    cases = 0
+    for g in [*all_labeled_graphs(6), *random_graphs(2000, max_n=14, seed0=71), *cw, *stars]:
+        triangles = g.local_features().pendant_triangles
+        paired = [x for u, _, w in triangles for x in (u, w)]
+        centers = {v for _, v, _ in triangles}
+        assert len(set(paired)) == len(paired)
+        assert not centers & set(paired)
+        if triangles and g.vertex_count == 2 * len(triangles) + 1:
+            assert len(centers) == 1
+            cases += 1
+    assert cases >= 100
 
 
 def test_verify_induced_matching_cases():

@@ -21,10 +21,10 @@ def test_instance_rejects_negative_target():
 
 
 def test_paw_with_tail_trace():
-    reduced, harvested, trace = reduce_instance(Instance(im.paw_with_tail(), 2))
-    rules = [s.rule for s in trace.steps]
+    reduced, harvested, steps = reduce_instance(Instance(im.paw_with_tail(), 2))
+    rules = [s.rule for s in steps]
     assert rules == [RULE_PENDANT_TRIANGLE, RULE_ISOLATED_EDGE, RULE_ISOLATED_EDGE]
-    assert trace.steps[0].deleted == ("a",)
+    assert steps[0].deleted == ("a",)
     assert harvested == frozenset({("b", "c"), ("x", "y")})
     assert reduced.ell == 0
     assert reduced.graph.vertex_count == 0
@@ -33,40 +33,40 @@ def test_paw_with_tail_trace():
 
 def test_triangle_star_reduces_completely():
     g = im.triangle_star_graph(4)
-    reduced, harvested, trace = reduce_instance(Instance(g, 4))
+    reduced, harvested, steps = reduce_instance(Instance(g, 4))
     assert reduced.ell == 0
     assert reduced.graph.vertex_count == 0
     assert len(harvested) == 4
-    rules = [s.rule for s in trace.steps]
+    rules = [s.rule for s in steps]
     assert rules.count(RULE_PENDANT_TRIANGLE) == 1
     assert rules.count(RULE_ISOLATED_EDGE) == 4
-    assert trace.steps[0].deleted == ("s",)
+    assert steps[0].deleted == ("s",)
     assert im.verify_induced_matching(g, harvested)
 
 
 def test_cycle_is_already_reduced():
     inst = Instance(cycle(5), 1)
-    reduced, harvested, trace = reduce_instance(inst)
+    reduced, harvested, steps = reduce_instance(inst)
     assert reduced == inst
     assert harvested == frozenset()
-    assert trace.steps == ()
+    assert steps == ()
 
 
 def test_target_floor_deletes_without_harvest():
-    reduced, harvested, trace = reduce_instance(Instance(build(2, [(1, 2)]), 0))
+    reduced, harvested, steps = reduce_instance(Instance(build(2, [(1, 2)]), 0))
     assert reduced.ell == 0
     assert reduced.graph.vertex_count == 0
     assert harvested == frozenset()
-    assert trace.steps == (
+    assert steps == (
         im.ReductionStep(RULE_ISOLATED_EDGE, (1, 2), None),
     )
 
 
 def test_isolated_vertices_removed_first_smallest_first():
     g = build(3)
-    _, _, trace = reduce_instance(Instance(g, 0))
-    assert [s.deleted for s in trace.steps] == [(1,), (2,), (3,)]
-    assert all(s.rule == RULE_ISOLATED_VERTEX for s in trace.steps)
+    _, _, steps = reduce_instance(Instance(g, 0))
+    assert [s.deleted for s in steps] == [(1,), (2,), (3,)]
+    assert all(s.rule == RULE_ISOLATED_VERTEX for s in steps)
 
 
 def test_pendant_triangle_mode_toggle():
@@ -91,10 +91,10 @@ def test_trace_harvest_bookkeeping():
     for g in random_graphs(150, seed0=29):
         for ell in (0, 1, 2, 3):
             inst = Instance(g, ell)
-            reduced, harvested, trace = reduce_instance(inst)
+            reduced, harvested, steps = reduce_instance(inst)
             assert all(
                 (s.harvested is not None) <= (s.rule == RULE_ISOLATED_EDGE)
-                for s in trace.steps
+                for s in steps
             )
             assert len(harvested) == ell - reduced.ell
 
@@ -156,8 +156,8 @@ def test_rounds_match_one_rule_per_scan():
         for ell in range(g.vertex_count // 2 + 2):
             for mode in (True, False):
                 inst = Instance(g, ell)
-                reduced, harvested, trace = reduce_instance(inst, pendant_triangles=mode)
-                assert (reduced, harvested, trace.steps) == one_rule_per_scan(inst, mode)
+                reduced, harvested, steps = reduce_instance(inst, pendant_triangles=mode)
+                assert (reduced, harvested, steps) == one_rule_per_scan(inst, mode)
 
 
 def test_one_scan_per_pendant_triangle_step_plus_one(monkeypatch):
@@ -175,9 +175,9 @@ def test_one_scan_per_pendant_triangle_step_plus_one(monkeypatch):
         for ell in range(g.vertex_count // 2 + 2):
             for mode in (True, False):
                 scans = 0
-                _, _, trace = reduce_instance(Instance(g, ell), pendant_triangles=mode)
-                steps = [s.rule for s in trace.steps].count(RULE_PENDANT_TRIANGLE)
-                assert scans == (steps + 1 if mode else 1)
+                _, _, steps = reduce_instance(Instance(g, ell), pendant_triangles=mode)
+                triangles = [s.rule for s in steps].count(RULE_PENDANT_TRIANGLE)
+                assert scans == (triangles + 1 if mode else 1)
 
 
 def test_terminal_state_order():

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 
 import pytest
@@ -95,6 +96,26 @@ def test_find_path4_validity_random():
             assert g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(w, x)
 
 
+def test_find_path4_absent_at_maximum_degree_one():
+    # find_path4 has no degree test of its own: when no vertex of the set
+    # has two neighbours in it, its outward scan finds nothing.
+    assert find_path4(build(4), {1, 2, 3, 4}) is None
+    assert find_path4(build(4, [(1, 2), (3, 4)]), {1, 2, 3, 4}) is None
+    checked = 0
+    for g in all_labeled_graphs(6, min_n=4):
+        if all(g.degree(v) <= 1 for v in g.vertices):
+            assert find_path4(g, g.vertices) is None
+            checked += 1
+    rng = random.Random(103)
+    for g in random_graphs(300, max_n=12, seed0=103, min_n=4):
+        keep = frozenset(rng.sample(g.vertices, rng.randint(4, g.vertex_count)))
+        sub = g.induced(keep)
+        if all(sub.degree(v) <= 1 for v in keep):
+            assert find_path4(g, keep) is None
+            checked += 1
+    assert checked >= 100
+
+
 def test_find_degree2_survivor():
     assert find_degree2_survivor(cycle(5), {1, 2, 3, 4, 5}, 1) == (3, 2, 4)
     assert find_degree2_survivor(cycle(7), set(range(1, 8)), 1) == (3, 2, 4)
@@ -160,6 +181,32 @@ def test_rule_always_found_after_reduction():
         assert max(h.degree(v) for v in h.vertices) >= 2
         choice = choose_rule(h, decompose(h))
         assert isinstance(choice, BranchChoice)
+
+
+def test_three_vertex_d_components_are_anchored_triangles():
+    # choose_rule tests no edges of a 3-vertex D-component: D-components
+    # are factor-critical, and on three vertices that means a triangle.
+    seen = 0
+    for g in random_graphs(300, max_n=12, seed0=7):
+        frontier = [g]
+        for _ in range(3):
+            children = []
+            for node in frontier:
+                h = reduce_instance(Instance(node, 1))[0].graph
+                if h.vertex_count == 0:
+                    continue
+                dec = decompose(h)
+                for comp in dec.d_components:
+                    if len(comp) != 3:
+                        continue
+                    a, b, c = comp
+                    assert h.has_edge(a, b) and h.has_edge(a, c) and h.has_edge(b, c)
+                    assert sum(1 for x in comp if h.neighbors(x) & dec.a) >= 2
+                    seen += 1
+                choice = choose_rule(h, dec)
+                children += [h.delete_vertices(d) for d in expand(h, choice)]
+            frontier = children
+    assert seen >= 100
 
 
 # -- expansion -------------------------------------------------------------------
@@ -327,11 +374,6 @@ def test_children_are_built_only_when_visited(monkeypatch):
     assert calls <= bound
 
 
-def test_auto_trusted_budget_maps_exhausted_to_no():
-    res = solve_auto(Instance(cycle(5), 2), trusted_budget=0)
-    assert res.answer is Answer.NO
-
-
 def test_auto_on_trap_fixture():
     res = solve_auto(Instance(im.naive_branch_trap(), 2))
     assert res.answer is Answer.YES
@@ -368,6 +410,48 @@ def test_engines_agree_with_bruteforce_random():
                 if res.answer is Answer.YES:
                     assert len(res.certificate) == ell
                     assert im.verify_induced_matching(g, res.certificate)
+
+
+def anchored_triangle_stars(count, seed):
+    """Triangle stars attached to separator vertices with pendant tails.
+
+    A center ``c`` with k = 2-4 triangles ``c x_i y_i`` and 1-3 separator
+    vertices ``s_j``, each starting a pendant path of one or two further
+    vertices.  At least two pairs are joined to the separators, each by one
+    or both of its members.  At most 16 vertices.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.randint(2, 4)
+        tails = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
+        if 1 + 2 * k + len(tails) + sum(tails) > 16:
+            continue
+        pairs = [(f"x{i}", f"y{i}") for i in range(k)]
+        labels = ["c"] + [x for pair in pairs for x in pair]
+        edges = [("c", x) for pair in pairs for x in pair] + pairs
+        for j, t in enumerate(tails):
+            chain = [f"s{j}"] + [f"t{j}{i}" for i in range(t)]
+            labels += chain
+            edges += list(zip(chain, chain[1:]))
+        for i in rng.sample(range(k), rng.randint(2, k)):
+            for x in rng.sample(pairs[i], rng.randint(1, 2)):
+                edges.append((x, f"s{rng.randrange(len(tails))}"))
+        out.append(im.Graph.build(labels, edges))
+    return out
+
+
+def test_engines_agree_with_bruteforce_on_anchored_triangle_stars():
+    branchings = 0
+    for g in anchored_triangle_stars(300, seed=0):
+        best, _ = im.brute_im(g)
+        for ell in (best, best + 1):
+            a = solve_auto(Instance(g, ell))
+            b = solve_imbtg(Instance(g, ell))
+            assert (a.answer is Answer.YES) == (ell <= best)
+            assert (b.answer is Answer.YES) == (ell <= best)
+            branchings += a.stats.branchings_by_rule.get(Rule.TRIANGLE_STAR.value, 0)
+    assert branchings >= 100
 
 
 def test_budget_contract_on_yes_instances():
