@@ -23,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import AuditTooLargeError, IMSolveError, InvalidSpecError, TooLargeError
+from .errors import IMSolveError, InvalidSpecError, TooLargeError
 from .gallai_edmonds import audit, decompose
 from .instances import (
     generate,
@@ -35,6 +35,8 @@ from .instances import (
 from .kernel import Instance
 from .oracle import (
     DEFAULT_CAP,
+    brute_is,
+    brute_mm,
     classify_tight,
     parameters,
     recognize_cameron_walker,
@@ -210,8 +212,9 @@ def _cmd_solve(args) -> int:
         if args.budget is not None:
             return solve_imba(inst, args.budget, trace=trace), "fixed"
         if args.oracle_k:
-            report = parameters(inst.graph, inst.ell, cap=args.cap)
-            result = solve_imba(inst, max(0, report.budget), trace=trace)
+            g, cap = inst.graph, args.cap
+            budget = brute_mm(g, cap) + brute_is(g, cap) - 2 * inst.ell
+            result = solve_imba(inst, max(0, budget), trace=trace)
             # Twice the exact potential bounds every yes-path, so Exhausted is No.
             if result.answer is Answer.EXHAUSTED:
                 result = SolveResult(Answer.NO, None, result.stats)
@@ -397,7 +400,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (TooLargeError, AuditTooLargeError) as exc:
+    except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (IMSolveError, OSError, ValueError) as exc:

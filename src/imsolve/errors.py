@@ -37,10 +37,6 @@ class TooLargeError(IMSolveError):
     """Input exceeds the configured cap of an exhaustive computation."""
 
 
-class AuditTooLargeError(IMSolveError):
-    """The decomposition audit would need to enumerate too many subsets."""
-
-
 class PreconditionViolatedError(IMSolveError):
     """An internal structural guarantee did not hold; indicates a bug."""
 

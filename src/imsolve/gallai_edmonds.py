@@ -16,17 +16,16 @@ Lovasz and Plummer, *Matching Theory*, ch. 3).
 ``audit`` re-derives the classical structural guarantees of the
 decomposition (factor-critical components, perfectly matched remainder,
 strict surplus of the contracted bipartite graph, and the shape of a
-maximum matching) and reports each check separately.  It is meant for
-tests and diagnostics, never for the solve path: the surplus check
-enumerates subsets of ``a`` and is guarded accordingly.
+maximum matching) and reports each check separately.  It is polynomial
+but meant for tests and diagnostics, never for the solve path: the
+factor-critical check alone computes one maximum matching per vertex of
+every d-component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .errors import AuditTooLargeError
 from .graph import Graph, sort_labels
 from .matching import (
     _View,
@@ -83,18 +82,13 @@ def _check(report: AuditReport, name: str, passed: bool, detail: str):
         report.failures.append(f"{name}: {detail}")
 
 
-def audit(g: Graph, dec: GEDecomposition, *, max_subset_size: int = 20) -> AuditReport:
-    """Verify the structural guarantees of a decomposition of ``g``.
+def _mates(g: Graph) -> dict:
+    """Both directions of one maximum matching of ``g``."""
+    return {x: y for u, v in maximum_matching(g) for x, y in ((u, v), (v, u))}
 
-    Raises AuditTooLargeError when ``len(dec.a)`` exceeds
-    ``max_subset_size`` (the surplus check enumerates all subsets of
-    ``a``).
-    """
-    if len(dec.a) > max_subset_size:
-        raise AuditTooLargeError(
-            f"|a| = {len(dec.a)} exceeds the subset-enumeration guard "
-            f"({max_subset_size})"
-        )
+
+def audit(g: Graph, dec: GEDecomposition) -> AuditReport:
+    """Verify the structural guarantees of a decomposition of ``g``."""
     report = AuditReport(checks={}, failures=[])
     vs = frozenset(g.vertices)
 
@@ -140,44 +134,41 @@ def audit(g: Graph, dec: GEDecomposition, *, max_subset_size: int = 20) -> Audit
         "subgraph on c has no perfect matching",
     )
 
-    # Surplus of the contracted bipartite graph: contract every component
-    # of the subgraph on d to a single node, drop edges inside a, and
-    # require |N(A')| > |A'| for every nonempty A' of a.  (The empty subset
-    # is excluded: the strict inequality is vacuous there.)
-    comp_index = {}
-    for idx, comp in enumerate(dec.d_components):
-        for v in comp:
-            comp_index[v] = idx
-    reach = {
-        x: frozenset(
-            comp_index[y] for y in g.neighbors(x) if y in comp_index
-        )
-        for x in dec.a
-    }
-    surplus_ok = True
-    surplus_detail = ""
+    # Surplus of the contracted bipartite graph H: the a-vertices become
+    # nodes 0..|a|-1 in label order, every component of the subgraph on d
+    # one node after them, and edges inside a are dropped.  |N(X)| > |X|
+    # must hold for every nonempty X of a.  By Hall's theorem it does iff
+    # every a-vertex is reached by an alternating path from a component
+    # that a maximum matching of H leaves exposed; the unreached a-vertices
+    # S then have N(S) inside their own mates, so |N(S)| <= |S|.
     a_sorted = sort_labels(dec.a)
-    for size in range(1, len(a_sorted) + 1):
-        for subset in combinations(a_sorted, size):
-            seen = frozenset().union(*(reach[x] for x in subset))
-            if len(seen) <= size:
-                surplus_ok = False
-                surplus_detail = (
-                    f"subset {list(subset)} reaches only "
-                    f"{len(seen)} components"
-                )
-                break
-        if not surplus_ok:
-            break
-    _check(report, "surplus", surplus_ok, surplus_detail)
+    node = {v: len(a_sorted) + j for j, comp in enumerate(dec.d_components) for v in comp}
+    h = Graph.build(
+        range(len(a_sorted) + len(dec.d_components)),
+        {(i, node[y]) for i, x in enumerate(a_sorted) for y in g.neighbors(x) if y in node},
+    )
+    mate = _mates(h)
+    stack = [j for j in range(len(a_sorted), h.vertex_count) if j not in mate]
+    reached = set()
+    while stack:
+        for i in h.neighbors(stack.pop()):
+            if i not in reached:
+                reached.add(i)
+                # i is matched: an exposed i would end an augmenting path.
+                stack.append(mate[i])
+    unreached = [i for i in range(len(a_sorted)) if i not in reached]
+    _check(
+        report,
+        "surplus",
+        not unreached,
+        f"subset {[a_sorted[i] for i in unreached]} reaches only "
+        f"{len(h.neighborhood_of_set(unreached))} components",
+    )
 
     # Shape of one computed maximum matching: every a-vertex matched into
     # d, a near-perfect matching inside every d-component, and a perfect
     # matching inside c.
-    mate = {}
-    for u, v in maximum_matching(g):
-        mate[u] = v
-        mate[v] = u
+    mate = _mates(g)
     a_ok = all(x in mate and mate[x] in dec.d for x in dec.a)
     comp_ok = True
     for comp in dec.d_components:

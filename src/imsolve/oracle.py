@@ -288,9 +288,12 @@ def is_triangle_star(g: Graph) -> bool:
 def _peel(g: Graph):
     """Strip pendant vertices and pendant triangles off the core.
 
-    Returns ``(core, pendant_map, triangle_map)`` or None when the
-    attachments do not decompose cleanly (some attachment target is not a
-    core vertex).
+    Returns ``(core, pendant_map, triangle_map)``.  On a connected graph
+    that is neither a star nor a triangle star every attachment target is
+    a core vertex, so the core is not empty: a pendant vertex's neighbour
+    is no pendant vertex (that is K2) and no triangle-pair member (whose
+    two neighbours are in its triangle), and pendant-triangle pairs hold
+    no center.
     """
     feats = g.local_features()
     tri_members = set()
@@ -307,12 +310,6 @@ def _peel(g: Graph):
             (target,) = g.neighbors(x)
             pendant_map.setdefault(target, []).append(x)
     core = frozenset(g.vertices) - pendant_vs - tri_members
-    for target in pendant_map:
-        if target not in core:
-            return None
-    for target in triangle_map:
-        if target not in core:
-            return None
     pendant_map = {k: tuple(v) for k, v in pendant_map.items()}
     triangle_map = {k: tuple(v) for k, v in triangle_map.items()}
     return core, pendant_map, triangle_map
@@ -343,12 +340,7 @@ def recognize_cameron_walker(g: Graph) -> StructureClass:
         return StructureClass(STAR)
     if is_triangle_star(g):
         return StructureClass(TRIANGLE_STAR)
-    peeled = _peel(g)
-    if peeled is None:
-        return StructureClass(NOT_CAMERON_WALKER)
-    core, pendant_map, triangle_map = peeled
-    if not core:
-        return StructureClass(NOT_CAMERON_WALKER)
+    core, pendant_map, triangle_map = _peel(g)
     u_side = frozenset(x for x in core if pendant_map.get(x))
     if any(x in triangle_map for x in u_side):
         return StructureClass(NOT_CAMERON_WALKER)

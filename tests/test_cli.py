@@ -89,8 +89,10 @@ def test_oracle_reports_fig2_values(capsys, files):
 def test_oracle_cap_exceeded_exit_3(capsys, tmp_path):
     p = tmp_path / "big.im"
     p.write_text(im.write_instance(Instance(build(18), 1)))
-    code = cli.main(["oracle", str(p)])
-    assert code == 3
+    for argv in (["oracle", str(p)], ["solve", str(p), "--oracle-k"]):
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "error: 18 vertices exceeds the brute-force cap (16)\n"
 
 
 def test_decompose_audit_ok(capsys, files):
@@ -105,13 +107,29 @@ def test_classify(capsys, files):
     assert code == 0
     assert doc["cameron_walker"]["kind"] == "triangle-star"
     assert doc["tight"]["kind"] == "triangle-star"
+    assert set(doc["cameron_walker"]) == {"kind"}
 
 
-def test_gen_is_deterministic_and_loadable(capsys):
+def test_classify_reports_core_sides(capsys, tmp_path):
+    out = tmp_path / "cw.im"
+    assert cli.main(["gen", "cw:u=3,w=1,nu=1,nw=1", "--seed", "2", "--out", str(out)]) == 0
+    code, doc = run_json(capsys, ["classify", str(out)])
+    assert code == 0
+    # The file numbers u1, its pendant, u2, ..., w1 as 1, 2, 3, ..., 7.
+    sides = {"u_side": ["1", "3", "5"], "w_side": ["7"]}
+    assert doc["cameron_walker"] == {"kind": "pendant-bipartite", **sides}
+    assert doc["tight"] == {"kind": "tight-pendant-bipartite", **sides}
+
+
+def test_gen_is_deterministic_and_loadable(capsys, tmp_path):
     code1, out1 = run(capsys, ["gen", "random:n=8,p=0.5", "--seed", "3", "--ell", "2"])
     code2, out2 = run(capsys, ["gen", "random:n=8,p=0.5", "--seed", "3", "--ell", "2"])
     assert code1 == code2 == 0
     assert out1 == out2
+    dest = tmp_path / "g.im"
+    argv = ["gen", "random:n=8,p=0.5", "--seed", "3", "--ell", "2", "--out", str(dest)]
+    assert run(capsys, argv) == (0, "")
+    assert dest.read_text() == out1
     inst = im.read_instance(out1)
     assert inst.graph.vertex_count == 8 and inst.ell == 2
 
@@ -133,6 +151,9 @@ def test_reduce_ds_roundtrip(capsys, tmp_path):
     reduced = im.read_instance(out)
     assert reduced.graph.vertex_count == 6
     assert reduced.ell == 2
+    dest = tmp_path / "k3-ds.im"
+    assert run(capsys, ["reduce-ds", str(src), "--out", str(dest)]) == (0, "")
+    assert dest.read_text() == out
 
 
 def test_reduce_mis(capsys, tmp_path):
@@ -145,6 +166,10 @@ def test_reduce_mis(capsys, tmp_path):
     reduced = im.read_instance(out)
     assert reduced.graph.vertex_count == 6
     assert reduced.ell == 2
+    dest = tmp_path / "g-mis.im"
+    argv = ["reduce-mis", str(src), "--cliques", "1,2;3,4", "--out", str(dest)]
+    assert run(capsys, argv) == (0, "")
+    assert dest.read_text() == out
 
 
 def test_bench_table(capsys, files):
@@ -156,6 +181,9 @@ def test_bench_table(capsys, files):
     answers = {r["instance"]: r["answer"] for r in doc["results"]}
     assert answers["paw.im"] == "yes"
     assert answers["c5-l2.im"] == "no"
+    code, tg = run_json(capsys, ["bench", files["dir"], "--engine", "tg"])
+    assert code == 0 and tg["engine"] == "tg"
+    assert {r["instance"]: r["answer"] for r in tg["results"]} == answers
 
 
 def test_json_output_is_byte_identical(capsys, files):

@@ -1,7 +1,9 @@
-import pytest
+import ast
+import random
+import re
+from itertools import combinations
 
 import imsolve as im
-from imsolve.errors import AuditTooLargeError
 from imsolve.gallai_edmonds import GEDecomposition, audit, decompose
 
 from conftest import all_labeled_graphs, build, complete, cycle, random_graphs, star
@@ -109,6 +111,19 @@ def test_audit_empty_graph_vacuous():
     assert report.ok
 
 
+def test_audit_flags_component_without_near_perfect_matching():
+    # The three leaves of a star as one d-component: it has no edge, so no
+    # matching of the star puts a pair inside it.
+    g = star(3)
+    dec = decompose(g)
+    tampered = GEDecomposition(dec.d, dec.a, dec.c, d_components=(dec.d,))
+    report = audit(g, tampered)
+    assert not report.checks["maximum-matching-structure"]
+    assert report.failures[-1].endswith(
+        "(a matched into d: True, near-perfect on d-components: False, perfect on c: True)"
+    )
+
+
 def test_audit_guard():
     # 21 disjoint 3-vertex paths put 21 vertices into the separator
     labels = []
@@ -120,6 +135,58 @@ def test_audit_guard():
     g = im.Graph.build(labels, edges)
     dec = decompose(g)
     assert len(dec.a) == 21
-    with pytest.raises(AuditTooLargeError):
-        audit(g, dec)
-    assert audit(g, dec, max_subset_size=21).ok
+    assert audit(g, dec).ok
+
+
+def _surplus_by_enumeration(g, dec):
+    """Reference: |N(X)| > |X| over every nonempty subset X of a."""
+    comp = {v: j for j, c in enumerate(dec.d_components) for v in c}
+    reach = {x: {comp[y] for y in g.neighbors(x) if y in comp} for x in dec.a}
+    a = sorted(dec.a)
+    return all(
+        len(set().union(*(reach[x] for x in sub))) > size
+        for size in range(1, len(a) + 1)
+        for sub in combinations(a, size)
+    )
+
+
+def _partition(g, d):
+    d = frozenset(d)
+    a = g.neighborhood_of_set(d)
+    c = frozenset(g.vertices) - d - a
+    return GEDecomposition(d, a, c, g.induced(d).connected_components())
+
+
+def test_audit_surplus_matches_subset_enumeration():
+    # Every labeled graph with n <= 5 and random graphs with n <= 12, each
+    # with its decomposition; the random ones also with a random d and with
+    # one d-vertex moved into a.  A failure names a subset of a that
+    # reaches at most as many components as it has vertices.
+    rng = random.Random(29)
+    cases = [(g, decompose(g)) for g in all_labeled_graphs(5)]
+    for g in random_graphs(4000, max_n=12, seed0=29):
+        dec = decompose(g)
+        random_d = [v for v in g.vertices if rng.random() < 0.5]
+        cases += [(g, dec), (g, _partition(g, random_d))]
+        if dec.d:
+            y = rng.choice(sorted(dec.d))
+            d = dec.d - {y}
+            comps = g.induced(d).connected_components()
+            cases.append((g, GEDecomposition(d, dec.a | {y}, dec.c, comps)))
+    failing = 0
+    for g, dec in cases:
+        report = audit(g, dec)
+        expected = _surplus_by_enumeration(g, dec)
+        assert report.checks["surplus"] == expected, (g.edges(), dec)
+        if not expected:
+            failing += 1
+            (detail,) = [f for f in report.failures if f.startswith("surplus: ")]
+            subset, count = re.fullmatch(
+                r"surplus: subset (\[.*\]) reaches only (\d+) components", detail
+            ).groups()
+            subset = ast.literal_eval(subset)
+            comp = {v: j for j, c in enumerate(dec.d_components) for v in c}
+            seen = {comp[y] for x in subset for y in g.neighbors(x) if y in comp}
+            assert subset and set(subset) <= dec.a
+            assert len(seen) == int(count) <= len(subset)
+    assert len(cases) >= 10_000 and failing >= 5_000

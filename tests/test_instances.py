@@ -185,6 +185,20 @@ def test_generator_degenerate_single_vertex_core():
         generate("cw:u=0,w=2,nw=1", seed=0)  # two core vertices, no edges
 
 
+def test_generator_backbone_with_more_u_than_w():
+    # p = 0 leaves only the backbone, a spanning tree of the core.
+    u_side, w_side = ["u1", "u2", "u3", "u4"], ["w1", "w2"]
+    for seed in range(12):
+        g = generate("cw:u=4,w=2,p=0,nu=1-2,nw=0-2", seed=seed)
+        core = g.induced(u_side + w_side)
+        assert len(core.connected_components()) == 1 and core.edge_count == 5
+        pendants = [sum(g.degree(x) == 1 for x in g.neighbors(u)) for u in u_side]
+        centers = [v for _, v, _ in g.local_features().pendant_triangles]
+        triangles = [centers.count(w) for w in w_side]
+        assert all(1 <= k <= 2 for k in pendants) and all(0 <= k <= 2 for k in triangles)
+        assert g.vertex_count == 6 + sum(pendants) + 2 * sum(triangles)
+
+
 def test_parse_generator_spec_errors():
     with pytest.raises(InvalidSpecError):
         parse_generator_spec("mystery:n=3")

@@ -85,6 +85,7 @@ def test_factor_critical():
     assert not im.is_factor_critical(build(0))
     assert im.is_factor_critical(build(1))
     assert not im.is_factor_critical(path(4))
+    assert not im.is_factor_critical(path(3))  # deleting 2 leaves no edge
     assert not im.is_factor_critical(build(3, [(1, 2)]))  # disconnected
 
 

@@ -14,6 +14,7 @@ from imsolve.oracle import (
     STAR,
     TIGHT_PENDANT_BIPARTITE,
     TRIANGLE_STAR,
+    _peel,
     classify_tight,
     is_star,
     is_triangle_star,
@@ -270,3 +271,19 @@ def test_recognizers_match_oracles_on_cw_recipes():
         (PENDANT_BIPARTITE, NOT_TIGHT),
         (NOT_CAMERON_WALKER, NOT_TIGHT),
     }
+
+
+def test_peel_attachments_hang_off_a_nonempty_core():
+    # recognize_cameron_walker peels every connected graph that is neither
+    # a star nor a triangle star, and relies on these premises unchecked:
+    # the core is not empty, and every pendant target and every triangle
+    # center is a core vertex.
+    connected = (g for g in all_labeled_graphs(6, min_n=1) if is_connected(g))
+    peeled = 0
+    for g in [*connected, *cw_recipes_and_perturbations()]:
+        if is_star(g) or is_triangle_star(g):
+            continue
+        core, pendant_map, triangle_map = _peel(g)
+        assert core and set(pendant_map) | set(triangle_map) <= core
+        peeled += 1
+    assert peeled > 27_000
