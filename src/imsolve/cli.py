@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import IMSolveError, InvalidSpecError, TooLargeError
@@ -233,21 +234,9 @@ def _cmd_solve_tg(args) -> int:
 def _cmd_oracle(args) -> int:
     inst = _load(args.path, args.ell)
     report = parameters(inst.graph, inst.ell, cap=args.cap)
-    doc = {
-        "command": "oracle",
-        "instance": args.path,
-        "n": report.n,
-        "ell": report.ell,
-        "mm": report.mm,
-        "is": report.is_,
-        "im": report.im,
-        "vc": report.vc,
-        "k_trivial": report.k_trivial,
-        "k_mm": report.k_mm,
-        "k_is": report.k_is,
-        "k_avg": report.k_avg,
-        "budget": report.budget,
-    }
+    doc = {"command": "oracle", "instance": args.path, "budget": report.budget}
+    doc.update(asdict(report))
+    doc["is"] = doc.pop("is_")
     lines = [
         f"n={report.n} ell={report.ell}",
         f"mm={report.mm} is={report.is_} im={report.im} vc={report.vc}",

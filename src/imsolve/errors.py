@@ -41,10 +41,6 @@ class PreconditionViolatedError(IMSolveError):
     """An internal structural guarantee did not hold; indicates a bug."""
 
 
-class NoRuleAppliesError(IMSolveError):
-    """No branching rule applies; the graph was not exhaustively reduced."""
-
-
 class ParseError(IMSolveError):
     """Malformed instance file."""
 

@@ -342,6 +342,9 @@ def parse_generator_spec(text: str):
         nw = _parse_count_range(options.get("nw", "1"))
     except (ValueError, InvalidSpecError) as exc:
         raise InvalidSpecError(f"bad cw spec {text!r}: {exc}") from None
+    for key, size in (("u", num_u), ("w", num_w)):
+        if size < 0:
+            raise InvalidSpecError(f"{key} must be nonnegative, got {size}")
     if not 0 <= p <= 1:
         raise InvalidSpecError(f"edge probability must be in [0, 1], got {p}")
     if num_u + num_w > MAX_VERTICES:

@@ -258,24 +258,21 @@ def is_star(g: Graph) -> bool:
     return degs[-1] == n - 1 and all(d == 1 for d in degs[:-1])
 
 
-def triangle_star_parts(g: Graph, vertices=None):
-    """Center and pendant pairs of a triangle star, or None for any other
-    graph.
+def triangle_star_parts(g: Graph):
+    """Center and pendant pairs of ``g`` if it is a triangle star, or None.
 
     A triangle star is a triangle with any number of further pendant
-    triangles attached to one shared center; the test applies to ``g`` or
-    to the subgraph induced by ``vertices``.  It reads the pendant
-    triangles of :meth:`Graph.local_features`: a graph is a triangle star
-    exactly when it has ``2k + 1`` vertices and ``k >= 1`` pendant
-    triangles.  Their pairs are disjoint and hold no center, so every
-    triangle deletes the one vertex left over, the center (for a plain
-    triangle, its smallest vertex).  Pairs keep the scan's order, which is
-    sorted: each is ``(x, partner)`` for the smallest vertex ``x`` not yet
-    paired.
+    triangles attached to one shared center; to test part of a graph, pass
+    the subgraph it induces.  The test reads the pendant triangles of
+    :meth:`Graph.local_features`: a graph is a triangle star exactly when
+    it has ``2k + 1`` vertices and ``k >= 1`` pendant triangles.  Their
+    pairs are disjoint and hold no center, so every triangle deletes the
+    one vertex left over, the center (for a plain triangle, its smallest
+    vertex).  Pairs keep the scan's order, which is sorted: each is
+    ``(x, partner)`` for the smallest vertex ``x`` not yet paired.
     """
-    sub = g if vertices is None else g.induced(vertices)
-    triangles = sub.local_features().pendant_triangles
-    if not triangles or sub.vertex_count != 2 * len(triangles) + 1:
+    triangles = g.local_features().pendant_triangles
+    if not triangles or g.vertex_count != 2 * len(triangles) + 1:
         return None
     return triangles[0][1], tuple((u, w) for u, _, w in triangles)
 

@@ -27,10 +27,11 @@ budget ``n - 2*ell + 1`` can never be truncated, and its No is definitive.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import NoRuleAppliesError, PreconditionViolatedError
+from .errors import PreconditionViolatedError
 from .gallai_edmonds import GEDecomposition, decompose
 from .graph import Graph, label_key, sort_labels, verify_induced_matching
 from .kernel import Instance, TerminalState, reduce_instance, terminal_state
@@ -76,18 +77,8 @@ class BranchChoice:
 class SearchStats:
     nodes_visited: int = 0
     max_depth: int = 0
-    branchings_by_rule: dict = field(default_factory=dict)
-    reductions_by_rule: dict = field(default_factory=dict)
-
-    def record_reductions(self, steps):
-        for step in steps:
-            self.reductions_by_rule[step.rule] = (
-                self.reductions_by_rule.get(step.rule, 0) + 1
-            )
-
-    def record_branching(self, rule: Rule):
-        key = rule.value
-        self.branchings_by_rule[key] = self.branchings_by_rule.get(key, 0) + 1
+    branchings_by_rule: Counter = field(default_factory=Counter)
+    reductions_by_rule: Counter = field(default_factory=Counter)
 
 
 class Answer(str, Enum):
@@ -160,29 +151,46 @@ def _smallest_neighbor_in(g: Graph, v, pool):
     return min((x for x in g.neighbors(v) if x in pool), key=label_key, default=None)
 
 
-def _vertex_branch(g: Graph, rule: Rule, candidates):
-    """The first candidate of degree >= 2 with its two smallest neighbors, or None."""
+def _anchors(g: Graph, candidates, pool) -> dict:
+    """Each candidate with a neighbor in ``pool``, in the given order, mapped
+    to its smallest such neighbor."""
+    return {
+        x: a
+        for x in candidates
+        if (a := _smallest_neighbor_in(g, x, pool)) is not None
+    }
+
+
+def _vertex_branch(g: Graph, rule: Rule, candidates) -> BranchChoice:
+    """Branch on the first candidate of degree >= 2 and its two smallest
+    neighbors.
+
+    Every caller passes candidates that hold such a vertex in a reduced
+    nonempty graph, so finding none is a bug in the reductions and raises.
+    """
     for v in candidates:
         if g.degree(v) >= 2:
             u, w = sort_labels(g.neighbors(v))[:2]
             return BranchChoice(rule, {"v": v, "u": u, "w": w})
-    return None
+    raise PreconditionViolatedError(
+        f"no vertex of degree at least 2 for the {rule.value} rule; "
+        "reductions were not exhaustive"
+    )
 
 
 def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
     """Pick the highest-priority applicable branching rule.
 
-    Requires a fully reduced graph with at least one vertex of degree 2
-    (always the case for a nonempty reduced graph).
+    Requires a fully reduced nonempty graph.  The priority is: a vertex of
+    C; an edge inside A; a triangle D-component; a triangle-star
+    D-component; a 4-vertex path in the first other D-component of at
+    least five vertices; a degree-two vertex.  Triangle and triangle-star
+    branches act on the members with a neighbor in A, each paired with its
+    smallest one.  A precondition that reduction guarantees raises
+    ``PreconditionViolatedError`` when it fails.
     """
     if dec.c:
-        choice = _vertex_branch(g, Rule.C_VERTEX, sort_labels(dec.c))
-        if choice is None:
-            raise PreconditionViolatedError(
-                "nonempty perfectly-matched part but no vertex of degree at "
-                "least 2 in it; reductions were not exhaustive"
-            )
-        return choice
+        return _vertex_branch(g, Rule.C_VERTEX, sort_labels(dec.c))
     for u in sort_labels(dec.a):
         v = _smallest_neighbor_in(g, u, dec.a)
         if v is not None:
@@ -192,32 +200,20 @@ def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
         # means a triangle.
         if len(comp) != 3:
             continue
-        members = sort_labels(comp)
-        with_sep = [
-            x for x in members if _smallest_neighbor_in(g, x, dec.a) is not None
-        ]
-        if len(with_sep) < 2:
+        anchors = _anchors(g, sort_labels(comp), dec.a)
+        if len(anchors) < 2:
             raise PreconditionViolatedError(
                 "triangle component without two separator neighbors; the "
                 "pendant-triangle reduction was not exhaustive"
             )
-        u, v = with_sep[0], with_sep[1]
-        (w,) = [x for x in members if x not in (u, v)]
-        return BranchChoice(
-            Rule.TRIANGLE,
-            {
-                "u": u,
-                "v": v,
-                "w": w,
-                "ua": _smallest_neighbor_in(g, u, dec.a),
-                "va": _smallest_neighbor_in(g, v, dec.a),
-            },
-        )
+        (u, ua), (v, va) = list(anchors.items())[:2]
+        (w,) = comp - {u, v}
+        return BranchChoice(Rule.TRIANGLE, {"u": u, "v": v, "w": w, "ua": ua, "va": va})
     long_comp = None
     for comp in dec.d_components:
         if len(comp) < 5:
             continue
-        parts = triangle_star_parts(g, comp)
+        parts = triangle_star_parts(g.induced(comp))
         if parts is None:
             if long_comp is None:
                 long_comp = comp
@@ -227,18 +223,13 @@ def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
         # Outer vertices of distinct pendant triangles are nonadjacent;
         # after exhausting the pendant-triangle reduction, each pair has
         # a member with a separator neighbor.
-        sep = {x: _smallest_neighbor_in(g, x, dec.a) for x in sort_labels(partner)}
-        anchored = [x for x, a in sep.items() if a is not None]
-        if not anchored:
-            raise PreconditionViolatedError(
-                "triangle-star component with no separator neighbors"
-            )
-        u = anchored[0]
-        rest = [x for x in anchored if x not in (u, partner[u])]
+        sep = _anchors(g, sort_labels(partner), dec.a)
+        u = next(iter(sep), None)
+        rest = [x for x in sep if x not in (u, partner[u])]
         if not rest:
             raise PreconditionViolatedError(
-                "triangle-star component with separator contact in only "
-                "one pendant triangle"
+                "triangle-star component with separator contact in fewer "
+                "than two pendant triangles"
             )
         v = rest[0]
         return BranchChoice(
@@ -276,22 +267,11 @@ def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
                 "w2": w2,
             },
         )
-    choice = _vertex_branch(g, Rule.DEGREE_TWO, g.vertices)
-    if choice is None:
-        raise NoRuleAppliesError(
-            "no branching rule applies; a reduced graph of maximum degree at "
-            "most 1 should have been emptied by the reductions"
-        )
-    return choice
+    return _vertex_branch(g, Rule.DEGREE_TWO, g.vertices)
 
 
 def _choose_naive(g: Graph) -> BranchChoice:
-    choice = _vertex_branch(g, Rule.NAIVE, g.vertices)
-    if choice is None:
-        raise NoRuleAppliesError(
-            "no vertex of degree at least 2 in a reduced nonempty graph"
-        )
-    return choice
+    return _vertex_branch(g, Rule.NAIVE, g.vertices)
 
 
 # The children of each rule in the rule statement's order (first listed
@@ -358,13 +338,14 @@ def _search(inst: Instance, budget: int, choose, reduce, trace) -> SolveResult:
         reduced, got, steps = reduce(node)
         stats.nodes_visited += 1
         stats.max_depth = max(stats.max_depth, depth)
-        stats.record_reductions(steps)
+        for step in steps:
+            stats.reductions_by_rule[step.rule] += 1
         harvested = harvested | got
         state = terminal_state(reduced, depth, budget)
         choice = None
         if state is TerminalState.CONTINUE:
             choice = choose(reduced.graph)
-            stats.record_branching(choice.rule)
+            stats.branchings_by_rule[choice.rule.value] += 1
         if trace is not None:
             record = {
                 "depth": depth,

@@ -223,6 +223,38 @@ def test_parse_error_exit_2(capsys, tmp_path):
     ok.write_text(im.write_instance(Instance(cycle(5), 1)))
     assert cli.main(["solve", str(ok), "--trace", str(tmp_path)]) == 2
     assert cli.main(["bench", str(huge)]) == 2  # a file, not a directory
+    capsys.readouterr()
+    assert cli.main(["gen", "cw:u=-5,w=1,nw=1"]) == 2
+    assert cli.main(["gen", "cw:u=2,w=-3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: u must be nonnegative, got -5\nerror: w must be nonnegative, got -3\n"
+    )
+    for i, text in enumerate(
+        (
+            "p im 2 1\n",  # header shape
+            "p im 2 one 0\n",  # header integer
+            "p im 2 0 -1\n",  # header sign
+            "p im 2 1 0\ne 1 2 3\n",  # edge shape
+            "p im 2 1 0\ne 1 b\n",  # endpoint integer
+        )
+    ):
+        bad = tmp_path / f"bad{i}.im"
+        bad.write_text(text)
+        assert cli.main(["solve", str(bad)]) == 2, text
+    for spec in ("random:n=-2", "cw:u=x", "cw:u=1,w=1,nu=2-1"):
+        assert cli.main(["gen", spec]) == 2, spec
+    assert cli.main(["reduce-mis", str(ok), "--cliques", "1,x"]) == 2
+    assert cli.main(["solve", str(ok), "--budget", "-1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 10 and all(line.startswith("error: ") for line in err)
+
+
+def test_console_main_exits_with_the_command_status(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["imsolve", "gen", "random:n=3,p=0"])
+    with pytest.raises(SystemExit) as info:
+        cli.console_main()
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("p im 3 0 1\n")
 
 
 def test_usage_error_exit_2():

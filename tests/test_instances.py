@@ -56,6 +56,16 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as info:
         im.read_instance(f"c too many vertices\np im {MAX_VERTICES + 1} 0 0\n")
     assert info.value.line == 2
+    for text, line in (
+        ("c header\np im 2 1\n", 2),  # header shape
+        ("p im 2 one 0\n", 1),  # header integer
+        ("p im 2 0 -1\n", 1),  # header sign
+        ("p im 2 1 0\n\ne 1 2 3\n", 3),  # edge shape
+        ("p im 2 1 0\ne 1 b\n", 2),  # endpoint integer
+    ):
+        with pytest.raises(ParseError) as info:
+            im.read_instance(text)
+        assert info.value.line == line, text
 
 
 def test_write_then_read_round_trip():
@@ -219,6 +229,10 @@ def test_parse_generator_spec_errors():
     ):
         with pytest.raises(InvalidSpecError):
             parse_generator_spec(bad)
+    with pytest.raises(InvalidSpecError, match="u must be nonnegative"):
+        parse_generator_spec("cw:u=-5,w=1,nw=1")
+    with pytest.raises(InvalidSpecError, match="w must be nonnegative"):
+        parse_generator_spec("cw:u=2,w=-3")
     with pytest.raises(InvalidSpecError, match="'q'"):
         parse_generator_spec("random:n=8,q=0.9")
     with pytest.raises(InvalidSpecError, match="'tigth'"):
