@@ -36,7 +36,6 @@ from .kernel import (
 )
 from .matching import (
     is_factor_critical,
-    konig_cover,
     maximum_matching,
 )
 from .oracle import (
@@ -105,7 +104,6 @@ __all__ = [
     "generate",
     "is_factor_critical",
     "is_triangle_star",
-    "konig_cover",
     "maximum_matching",
     "naive_branch_trap",
     "parameters",

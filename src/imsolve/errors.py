@@ -25,10 +25,6 @@ class UnknownVertexError(GraphError):
     pass
 
 
-class NotBipartiteError(GraphError):
-    pass
-
-
 class DisconnectedError(GraphError):
     pass
 

@@ -7,34 +7,25 @@
 * ``c``: everything else,
 
 together with the connected components of the subgraph induced by ``d``.
-``d`` is read off one alternating forest: given any maximum matching, the
-vertices missed by some maximum matching are exactly those reachable from an
-exposed vertex by an even alternating path, i.e. the outer vertices of the
-Edmonds forest grown from all exposed vertices at once (Edmonds 1965;
-Lovasz and Plummer, *Matching Theory*, ch. 3).
+``d`` is read off one alternating forest, grown from every vertex that one
+maximum matching leaves exposed (``matching._missable``).
 
 ``audit`` re-derives the classical structural guarantees of the
 decomposition (factor-critical components, perfectly matched remainder,
 strict surplus of the contracted bipartite graph, and the shape of a
-maximum matching) and reports each check separately.  It is polynomial
-but meant for tests and diagnostics, never for the solve path: the
-factor-critical check alone computes one maximum matching per vertex of
-every d-component.
+maximum matching) and reports each check separately.  It is meant for
+tests and diagnostics, never for the solve path.  Each check costs one
+maximum matching of ``g`` or of a part of it; factor-criticality takes one
+alternating forest per d-component (Gallai's lemma).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import matching
 from .graph import Graph, sort_labels
-from .matching import (
-    _View,
-    _maximum_matching_indices,
-    _search,
-    has_perfect_matching,
-    is_factor_critical,
-    maximum_matching,
-)
+from .matching import has_perfect_matching, is_factor_critical, maximum_matching
 
 
 @dataclass(frozen=True)
@@ -48,16 +39,8 @@ class GEDecomposition:
 
 
 def decompose(g: Graph) -> GEDecomposition:
-    """Compute the decomposition of ``g``.
-
-    ``d`` is the set of outer vertices of the alternating forest grown from
-    every vertex left exposed by one maximum matching; a single search, as
-    the matching is maximum and so the forest never augments.
-    """
-    view = _View(g)
-    match = _maximum_matching_indices(view.adj)
-    outer = _search(view.adj, match, [i for i, m in enumerate(match) if m == -1])
-    d = frozenset(v for v, o in zip(view.labels, outer) if o)
+    """Compute the decomposition of ``g``."""
+    d = frozenset(v for v, o in zip(g.vertices, matching._missable(g)) if o)
     a = g.neighborhood_of_set(d)
     c = frozenset(g.vertices) - d - a
     comps = g.induced(d).connected_components()

@@ -192,32 +192,6 @@ class Graph:
             parts.append(frozenset(comp))
         return tuple(parts)
 
-    def bipartition(self):
-        """A 2-coloring ``(U, W)`` if one exists, else None.
-
-        Deterministic: BFS from the smallest label of each component, which
-        is placed on side ``U``; a colour is the parity of the distance from
-        it, whatever order the neighbours are visited in.
-        """
-        color = {}
-        for start in self._adj:
-            if start in color:
-                continue
-            color[start] = 0
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                cv = color[v]
-                for u in self._adj[v]:
-                    if u not in color:
-                        color[u] = 1 - cv
-                        queue.append(u)
-                    elif color[u] == cv:
-                        return None
-        side_u = frozenset(v for v, c in color.items() if c == 0)
-        side_w = frozenset(v for v, c in color.items() if c == 1)
-        return side_u, side_w
-
     def local_features(self) -> LocalFeatures:
         """Isolated vertices, isolated edges and pendant triangles.
 

@@ -338,9 +338,9 @@ def parse_generator_spec(text: str):
         num_u = int(options.get("u", 1))
         num_w = int(options.get("w", 1))
         p = float(options.get("p", 0.3))
-        nu = _parse_count_range(options.get("nu", "1"))
-        nw = _parse_count_range(options.get("nw", "1"))
-    except (ValueError, InvalidSpecError) as exc:
+        nu = _parse_count_range("nu", options.get("nu", "1"))
+        nw = _parse_count_range("nw", options.get("nw", "1"))
+    except ValueError as exc:
         raise InvalidSpecError(f"bad cw spec {text!r}: {exc}") from None
     for key, size in (("u", num_u), ("w", num_w)):
         if size < 0:
@@ -364,7 +364,10 @@ def parse_generator_spec(text: str):
     )
 
 
-def _parse_count_range(text: str):
+def _parse_count_range(key: str, text: str):
+    """A count ``k`` or a range ``lo-hi``; a negative count is refused by name."""
+    if text.startswith("-"):
+        raise InvalidSpecError(f"{key} must be nonnegative, got {text}")
     if "-" in text:
         lo, _, hi = text.partition("-")
         return (int(lo), int(hi))

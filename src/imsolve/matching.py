@@ -5,29 +5,29 @@ blossom shrinking, kept deliberately simple: matching is never the
 bottleneck next to the exponential search, and at desk scale (up to a few
 thousand vertices) the cubic bound is comfortable.  All tie-breaking is by
 smallest label, so the returned matching is deterministic.
+
+Which vertices some maximum matching misses is read off one alternating
+forest (``_missable``); both the Gallai-Edmonds ``d`` set and
+factor-criticality come from it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .errors import NotBipartiteError
-from .graph import Graph, edge, sort_labels
+from .graph import Graph, edge
 
 
-class _View:
-    """Index view of a graph: labels mapped to 0..n-1 in sorted order."""
-
-    __slots__ = ("labels", "index", "adj")
-
-    def __init__(self, g: Graph):
-        self.labels = g.vertices
-        self.index = {v: i for i, v in enumerate(self.labels)}
-        # Appending i in increasing order leaves every list sorted.
-        self.adj = [[] for _ in self.labels]
-        for i, v in enumerate(self.labels):
-            for u in g.neighbors(v):
-                self.adj[self.index[u]].append(i)
+def _index_adjacency(g: Graph) -> list:
+    """Neighbour lists of ``g`` by vertex index, in label order."""
+    labels = g.vertices
+    index = {v: i for i, v in enumerate(labels)}
+    # Appending i in increasing order leaves every list sorted.
+    adj = [[] for _ in labels]
+    for i, v in enumerate(labels):
+        for u in g.neighbors(v):
+            adj[index[u]].append(i)
+    return adj
 
 
 def _lowest_common_base(match, parent, base, a, b):
@@ -129,13 +129,27 @@ def _maximum_matching_indices(adj):
 
 def maximum_matching(g: Graph) -> frozenset:
     """A maximum matching of ``g`` as a frozenset of normalized edges."""
-    view = _View(g)
-    match = _maximum_matching_indices(view.adj)
+    labels = g.vertices
+    match = _maximum_matching_indices(_index_adjacency(g))
     return frozenset(
-        edge(view.labels[i], view.labels[match[i]])
+        edge(labels[i], labels[match[i]])
         for i in range(len(match))
         if match[i] > i
     )
+
+
+def _missable(g: Graph) -> list:
+    """Per vertex of ``g`` in label order: is it missed by some maximum
+    matching?
+
+    Given one maximum matching, those are exactly the outer vertices of the
+    alternating forest grown from all its exposed vertices at once
+    (Edmonds 1965; Lovasz and Plummer, *Matching Theory*, ch. 3).  As the
+    matching is maximum the forest never augments, so one search suffices.
+    """
+    adj = _index_adjacency(g)
+    match = _maximum_matching_indices(adj)
+    return _search(adj, match, [i for i, m in enumerate(match) if m == -1])
 
 
 def has_perfect_matching(g: Graph) -> bool:
@@ -146,56 +160,9 @@ def is_factor_critical(g: Graph) -> bool:
     """True iff ``g`` is connected and ``g - v`` has a perfect matching for
     every vertex ``v``.
 
-    The empty graph is not factor-critical; a single vertex is.  Checked by
-    one perfect-matching computation per vertex; intended for small
-    components and audits, not hot paths.
+    The empty graph is not factor-critical; a single vertex is.  By
+    Gallai's lemma (Lovasz and Plummer, *Matching Theory*, ch. 3) a
+    connected graph is factor-critical exactly when every vertex is missed
+    by some maximum matching, so one alternating forest decides it.
     """
-    n = g.vertex_count
-    if n == 0:
-        return False
-    if len(g.connected_components()) != 1:
-        return False
-    if n % 2 == 0:
-        return False
-    for v in g.vertices:
-        if not has_perfect_matching(g.delete_vertices({v})):
-            return False
-    return True
-
-
-def konig_cover(g: Graph) -> frozenset:
-    """A minimum vertex cover of a bipartite graph.
-
-    Extracted from a maximum matching by alternating reachability from the
-    unmatched vertices of one side; the result has size exactly equal to
-    the maximum matching size.
-    """
-    sides = g.bipartition()
-    if sides is None:
-        raise NotBipartiteError("graph contains an odd cycle")
-    left, right = sides
-    mate = {}
-    for u, v in maximum_matching(g):
-        mate[u] = v
-        mate[v] = u
-    reached = set()
-    queue = deque()
-    for u in sort_labels(left):
-        if u not in mate:
-            reached.add(u)
-            queue.append(u)
-    while queue:
-        v = queue.popleft()
-        if v in left:
-            # leave the left side along non-matching edges
-            for w in sort_labels(g.neighbors(v)):
-                if mate.get(v) != w and w not in reached:
-                    reached.add(w)
-                    queue.append(w)
-        else:
-            # return to the left side along the matching edge
-            w = mate.get(v)
-            if w is not None and w not in reached:
-                reached.add(w)
-                queue.append(w)
-    return frozenset((left - reached) | (right & reached))
+    return len(g.connected_components()) == 1 and all(_missable(g))

@@ -234,7 +234,7 @@ def measure(g: Graph, ell: int, cap: int = DEFAULT_CAP) -> float:
 class StructureClass:
     """Outcome of a structural classification.
 
-    ``u_side``/``w_side`` are the core bipartition for the pendant-
+    ``u_side``/``w_side`` are the two sides of the core for the pendant-
     bipartite shapes; ``pendant_vertices`` maps a core vertex to its
     attached pendant vertices, ``pendant_triangles`` to its attached
     triangle pairs.

@@ -226,8 +226,11 @@ def test_parse_error_exit_2(capsys, tmp_path):
     capsys.readouterr()
     assert cli.main(["gen", "cw:u=-5,w=1,nw=1"]) == 2
     assert cli.main(["gen", "cw:u=2,w=-3"]) == 2
+    assert cli.main(["gen", "cw:u=1,w=1,nu=-1"]) == 2
+    assert cli.main(["gen", "cw:u=1,w=1,nw=-2"]) == 2
     assert capsys.readouterr().err == (
         "error: u must be nonnegative, got -5\nerror: w must be nonnegative, got -3\n"
+        "error: nu must be nonnegative, got -1\nerror: nw must be nonnegative, got -2\n"
     )
     for i, text in enumerate(
         (

@@ -22,7 +22,6 @@ from conftest import (
     graphs,
     path,
     random_graphs,
-    star,
 )
 
 
@@ -70,16 +69,6 @@ def test_connected_components():
     assert comps == (frozenset({1, 2}), frozenset({3, 4}))
     assert build(0).connected_components() == ()
     assert len(im.naive_branch_trap().connected_components()) == 1
-
-
-def test_bipartition():
-    sides = cycle(6).bipartition()
-    assert sides is not None
-    u, w = sides
-    assert len(u) == 3 and len(w) == 3
-    assert cycle(3).bipartition() is None
-    u, w = star(3).bipartition()
-    assert u == frozenset({1}) and w == frozenset({2, 3, 4})
 
 
 def test_local_features_single_edge():
@@ -210,17 +199,6 @@ def test_delete_composes_over_disjoint_sets(g):
     s1 = frozenset(vs[::3])
     s2 = frozenset(vs[1::3])
     assert g.delete_vertices(s1).delete_vertices(s2) == g.delete_vertices(s1 | s2)
-
-
-@given(graphs(max_n=7))
-def test_bipartition_has_no_intra_side_edge(g):
-    sides = g.bipartition()
-    if sides is None:
-        return
-    u, w = sides
-    assert u | w == frozenset(g.vertices) and not (u & w)
-    for a, b in g.edges():
-        assert (a in u) != (b in u)
 
 
 @given(graphs(max_n=7))

@@ -233,6 +233,10 @@ def test_parse_generator_spec_errors():
         parse_generator_spec("cw:u=-5,w=1,nw=1")
     with pytest.raises(InvalidSpecError, match="w must be nonnegative"):
         parse_generator_spec("cw:u=2,w=-3")
+    with pytest.raises(InvalidSpecError, match="nu must be nonnegative, got -1"):
+        parse_generator_spec("cw:u=1,w=1,nu=-1")
+    with pytest.raises(InvalidSpecError, match="nw must be nonnegative, got -2"):
+        parse_generator_spec("cw:u=1,w=1,nw=-2")
     with pytest.raises(InvalidSpecError, match="'q'"):
         parse_generator_spec("random:n=8,q=0.9")
     with pytest.raises(InvalidSpecError, match="'tigth'"):
@@ -257,7 +261,7 @@ def test_ds_reduction_on_triangle():
     assert g.vertex_count == 6
     assert g.edge_count == 6
     assert all(g.degree(v) == 2 for v in g.vertices)  # a 6-cycle
-    assert g.bipartition() is not None
+    assert len(g.connected_components()) == 1
     assert im.brute_ds(complete(3)) == 1
     assert im.brute_im(g)[0] == 2
     assert len(im.maximum_matching(g)) == 3

@@ -1,7 +1,4 @@
-import pytest
-
 import imsolve as im
-from imsolve.errors import NotBipartiteError
 from imsolve.gallai_edmonds import decompose
 
 from conftest import (
@@ -9,10 +6,9 @@ from conftest import (
     build,
     complete,
     cycle,
+    is_connected,
     path,
-    random_bipartite,
     random_graphs,
-    star,
 )
 
 
@@ -89,17 +85,20 @@ def test_factor_critical():
     assert not im.is_factor_critical(build(3, [(1, 2)]))  # disconnected
 
 
-def test_konig_cover_landmarks():
-    assert im.konig_cover(star(3)) == frozenset({1})
-    assert len(im.konig_cover(cycle(6))) == 3
-    assert len(im.konig_cover(path(4))) == 2
-    with pytest.raises(NotBipartiteError):
-        im.konig_cover(cycle(3))
+def test_factor_critical_agrees_with_definition():
+    # The definition, from the brute-force oracle: connected, and a perfect
+    # matching of g - v for every vertex v.
+    def by_definition(g):
+        n = g.vertex_count
+        return (
+            n > 0
+            and is_connected(g)
+            and all(2 * im.brute_mm(g.delete_vertices({v})) == n - 1 for v in g.vertices)
+        )
 
-
-def test_konig_cover_is_a_minimum_cover():
-    for g in random_bipartite(200, seed0=71):
-        cover = im.konig_cover(g)
-        for u, v in g.edges():
-            assert u in cover or v in cover
-        assert len(cover) == len(im.maximum_matching(g))
+    positives = 0
+    for g in [*all_labeled_graphs(5), *random_graphs(1000, max_n=12, seed0=83)]:
+        expected = by_definition(g)
+        assert im.is_factor_critical(g) == expected
+        positives += expected
+    assert positives > 100

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -410,6 +411,22 @@ def test_engines_agree_with_bruteforce_random():
                 if res.answer is Answer.YES:
                     assert len(res.certificate) == ell
                     assert im.verify_induced_matching(g, res.certificate)
+
+
+def test_auto_agrees_with_bruteforce_past_the_default_cap():
+    # Seeded G(n, m) graphs above the oracle's default cap of 16 vertices,
+    # where the search is deep enough to expose a wrong prune.
+    specs = [(18, 0.2), (20, 0.2), (21, 0.18), (22, 0.15), (24, 0.15), (25, 0.12), (26, 0.1)]
+    for seed, (n, p) in enumerate(specs):
+        pairs = list(combinations(range(1, n + 1), 2))
+        edges = random.Random(seed).sample(pairs, round(p * len(pairs)))
+        g = im.Graph.build(range(1, n + 1), edges)
+        best, _ = im.brute_im(g, cap=n)
+        yes = solve_auto(Instance(g, best))
+        assert yes.answer is Answer.YES
+        assert len(yes.certificate) == best
+        assert im.verify_induced_matching(g, yes.certificate)
+        assert solve_auto(Instance(g, best + 1)).answer is Answer.NO
 
 
 def anchored_triangle_stars(count, seed):
