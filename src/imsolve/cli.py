@@ -146,6 +146,8 @@ def _stats_doc(stats) -> dict:
         "max_depth": stats.max_depth,
         "branchings_by_rule": dict(sorted(stats.branchings_by_rule.items())),
         "reductions_by_rule": dict(sorted(stats.reductions_by_rule.items())),
+        "bound_prunes": stats.bound_prunes,
+        "memo_hits": stats.memo_hits,
     }
 
 

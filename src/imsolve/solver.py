@@ -22,6 +22,12 @@ Answers are Yes (with a verified certificate), No, or Exhausted when the
 budget truncated the search without finding a solution.  ``solve_auto``
 needs no budget: every branching deletes a vertex, so one search at the
 budget ``n - 2*ell + 1`` can never be truncated, and its No is definitive.
+Because nothing truncates it, ``solve_auto`` also runs the paper's search
+with two sound No leaves: the Gallai-Edmonds matching bound (a node whose
+maximum matching is below the target) and a memo of the reduced vertex
+sets already proven No.  They cut only No subtrees, so the first Yes leaf
+in preorder, and with it the certificate, is the one the unpruned search
+finds.  ``solve_imba`` and ``solve_imbtg`` run unpruned.
 """
 
 from __future__ import annotations
@@ -79,6 +85,9 @@ class SearchStats:
     max_depth: int = 0
     branchings_by_rule: Counter = field(default_factory=Counter)
     reductions_by_rule: Counter = field(default_factory=Counter)
+    # No leaves cut by the matching bound and by the memo (solve_auto only).
+    bound_prunes: int = 0
+    memo_hits: int = 0
 
 
 class Answer(str, Enum):
@@ -270,6 +279,11 @@ def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
     return _vertex_branch(g, Rule.DEGREE_TWO, g.vertices)
 
 
+def _choose_paper(g: Graph, dec: GEDecomposition | None = None) -> BranchChoice:
+    """``choose_rule`` on ``dec``, or on a fresh decomposition of ``g``."""
+    return choose_rule(g, decompose(g) if dec is None else dec)
+
+
 def _choose_naive(g: Graph) -> BranchChoice:
     return _vertex_branch(g, Rule.NAIVE, g.vertices)
 
@@ -314,7 +328,9 @@ def expand(g: Graph, choice: BranchChoice) -> list:
 # -- the depth-first engine ---------------------------------------------------
 
 
-def _search(inst: Instance, budget: int, choose, reduce, trace) -> SolveResult:
+def _search(
+    inst: Instance, budget: int, choose, reduce, trace, *, prune=False
+) -> SolveResult:
     """Preorder depth-first search with a branching budget.
 
     The path from the root is an explicit stack, so the depth is bounded by
@@ -324,14 +340,28 @@ def _search(inst: Instance, budget: int, choose, reduce, trace) -> SolveResult:
     them; the root frame holds the input with one empty deletion set.  A
     child's graph is built only when it is popped, at depth
     ``len(stack) - 1``, so the stack keeps one graph per open node.
+
+    ``prune`` is for searches that nothing truncates, with ``choose`` the
+    paper's rules.  An open node is then a No leaf when the memo holds its
+    reduced vertex set at a target no larger than its own (every node graph
+    is an induced subgraph of the input, and a graph without an induced
+    matching of size ell has none larger), or when its Gallai-Edmonds
+    decomposition gives ``2*mm = n - #d_components + |a| < 2*ell``;
+    otherwise that decomposition picks the rule.  A frame popped before a
+    Yes had every child searched to No, so its reduced vertex set goes into
+    the memo.  A pruned node counts as a node and traces as a No leaf.
     """
     stats = SearchStats()
     exhausted = False
+    memo = {}
     stack = [(inst, [()], frozenset())]
     while stack:
         parent, pending, harvested = stack[-1]
         if not pending:
             stack.pop()
+            if prune and stack:
+                # A smaller target for this set would have been a memo hit.
+                memo[parent.graph.vertices] = parent.ell
             continue
         node = Instance(parent.graph.delete_vertices(pending.pop()), parent.ell)
         depth = len(stack) - 1
@@ -343,8 +373,21 @@ def _search(inst: Instance, budget: int, choose, reduce, trace) -> SolveResult:
         harvested = harvested | got
         state = terminal_state(reduced, depth, budget)
         choice = None
-        if state is TerminalState.CONTINUE:
+        if state is TerminalState.CONTINUE and prune:
+            g, ell = reduced.graph, reduced.ell
+            if memo.get(g.vertices, ell + 1) <= ell:
+                stats.memo_hits += 1
+                state = TerminalState.NO
+            else:
+                dec = decompose(g)
+                if g.vertex_count - len(dec.d_components) + len(dec.a) < 2 * ell:
+                    stats.bound_prunes += 1
+                    state = TerminalState.NO
+                else:
+                    choice = choose(g, dec)
+        elif state is TerminalState.CONTINUE:
             choice = choose(reduced.graph)
+        if choice is not None:
             stats.branchings_by_rule[choice.rule.value] += 1
         if trace is not None:
             record = {
@@ -399,18 +442,26 @@ def solve_imba(inst: Instance, budget: int, *, trace=None) -> SolveResult:
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    return _search(
-        inst, budget, lambda g: choose_rule(g, decompose(g)), reduce_instance, trace
-    )
+    return _search(inst, budget, _choose_paper, reduce_instance, trace)
 
 
 def solve_auto(inst: Instance, *, trace=None) -> SolveResult:
     """Definitive Yes/No from one exhaustive decomposition-guided search.
 
     The search runs once, at the budget ``n - 2*ell + 1``, which no path
-    can reach (see ``_exhaustive``), so its No is final.
+    can reach (see ``_exhaustive``), so its No is final.  Since nothing
+    truncates it, it prunes: a node whose maximum matching is below the
+    target, or whose reduced vertex set the search already proved No at a
+    target no larger, is a No leaf (see ``_search``).  Pruning cuts only
+    No subtrees, so the answer and the certificate are those of
+    ``solve_imba`` at that budget; the node count can only fall.
     """
-    return _exhaustive(inst, lambda budget: solve_imba(inst, budget, trace=trace))
+    return _exhaustive(
+        inst,
+        lambda budget: _search(
+            inst, budget, _choose_paper, reduce_instance, trace, prune=True
+        ),
+    )
 
 
 def solve_imbtg(inst: Instance, *, trace=None) -> SolveResult:

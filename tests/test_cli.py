@@ -47,6 +47,7 @@ def test_solve_yes_with_certificate(capsys, files):
     assert doc["stats"]["nodes_visited"] >= 1
     assert set(doc["stats"]) == {
         "nodes_visited", "max_depth", "branchings_by_rule", "reductions_by_rule",
+        "bound_prunes", "memo_hits",
     }
 
 

@@ -1,7 +1,7 @@
 import ast
 import random
 import re
-from itertools import combinations
+from itertools import chain, combinations
 
 import imsolve as im
 from imsolve.gallai_edmonds import GEDecomposition, audit, decompose
@@ -76,6 +76,14 @@ def test_decompose_matches_naive_definitional_test():
         assert dec.d == missable
         assert dec.a == g.neighborhood_of_set(missable)
         assert dec.c == frozenset(g.vertices) - dec.d - dec.a
+
+
+def test_deficiency_formula_gives_the_matching_number():
+    # solve_auto's matching bound reads mm off the decomposition:
+    # 2*mm = n - #d_components + |a| (Gallai-Edmonds).
+    for g in chain(all_labeled_graphs(6), random_graphs(1000, max_n=12, seed0=29)):
+        dec = decompose(g)
+        assert 2 * im.brute_mm(g) == g.vertex_count - len(dec.d_components) + len(dec.a)
 
 
 def test_audit_passes_exhaustively_small():

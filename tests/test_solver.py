@@ -429,6 +429,66 @@ def test_auto_agrees_with_bruteforce_past_the_default_cap():
         assert solve_auto(Instance(g, best + 1)).answer is Answer.NO
 
 
+def seeded_gnm(count, seed0=0):
+    """Seeded G(n, m) graphs, n cycling 6-14, m = round(p * n(n-1)/2) with
+    p cycling 0.1, 0.2, 0.3."""
+    out = []
+    for i in range(count):
+        n = 6 + i % 9
+        p = (0.1, 0.2, 0.3)[i // 9 % 3]
+        pairs = list(combinations(range(1, n + 1), 2))
+        edges = random.Random(seed0 + i).sample(pairs, round(p * len(pairs)))
+        out.append(im.Graph.build(range(1, n + 1), edges))
+    return out
+
+
+def test_auto_prunes_cut_only_no_subtrees():
+    # The matching bound and the memo may only close nodes that the
+    # unpruned search would close as No, so the first Yes leaf in preorder
+    # and its certificate stay those of solve_imba at the same budget.
+    auto_nodes = fixed_nodes = bound_prunes = memo_hits = 0
+    for g in seeded_gnm(500):
+        best, _ = im.brute_im(g)
+        for ell in (best, best + 1):
+            inst = Instance(g, ell)
+            auto = solve_auto(inst)
+            fixed = solve_imba(inst, g.vertex_count - 2 * ell + 1)
+            assert (auto.answer is Answer.YES) == (ell <= best)
+            assert auto.answer is fixed.answer
+            assert auto.certificate == fixed.certificate
+            assert auto.stats.nodes_visited <= fixed.stats.nodes_visited
+            assert fixed.stats.bound_prunes == fixed.stats.memo_hits == 0
+            auto_nodes += auto.stats.nodes_visited
+            fixed_nodes += fixed.stats.nodes_visited
+            bound_prunes += auto.stats.bound_prunes
+            memo_hits += auto.stats.memo_hits
+    assert bound_prunes >= 2500
+    assert memo_hits >= 400
+    assert auto_nodes < fixed_nodes / 2
+
+
+def test_pruned_nodes_trace_as_no_leaves():
+    # A terminal No has n < 2*ell, so the No records with n >= 2*ell are
+    # exactly the pruned nodes; the simple engine never prunes.
+    pruned = 0
+    for g in seeded_gnm(60, seed0=1000):
+        best, _ = im.brute_im(g)
+        inst = Instance(g, best + 1)
+        lines = []
+        res = solve_auto(inst, trace=lines.append)
+        records = [json.loads(line) for line in lines]
+        assert len(records) == res.stats.nodes_visited
+        cut = [r for r in records if r["state"] == "no" and r["n"] >= 2 * r["ell"]]
+        assert len(cut) == res.stats.bound_prunes + res.stats.memo_hits
+        for r in cut:
+            assert set(r) == {"depth", "n", "ell", "state", "rule", "actors"}
+            assert r["rule"] is None and r["actors"] is None
+        pruned += len(cut)
+        tg = solve_imbtg(inst)
+        assert tg.stats.bound_prunes == tg.stats.memo_hits == 0
+    assert pruned >= 100
+
+
 def anchored_triangle_stars(count, seed):
     """Triangle stars attached to separator vertices with pendant tails.
 
