@@ -122,7 +122,8 @@ def _maximum_matching_indices(adj):
                     match[u] = v
                     break
     for v in range(n):
-        if match[v] == -1:
+        # A vertex without neighbours stays exposed in every matching.
+        if match[v] == -1 and adj[v]:
             _search(adj, match, [v])
     return match
 

@@ -1,33 +1,36 @@
 """Branch-and-reduce engines for the induced matching decision problem.
 
-Two engines share one depth-first search, run on an explicit stack:
+One depth-first search, run on an explicit stack, has three entry points:
 
-* ``solve_imba``: the main algorithm.  At every node the graph is reduced,
-  the termination tests run, and a branching rule is picked from the
-  Gallai-Edmonds decomposition by a fixed priority: a vertex of the
-  perfectly-matched part; an edge inside the separator; a triangle
-  component; a triangle-star component; a long factor-critical component
-  (via a 4-vertex path); and finally the plain degree-2 branch, which at
-  that point provably makes progress because the graph is bipartite and
-  thin.  Every rule names 3 or 7 children by the vertex sets they delete,
-  and each child provably lowers the potential (mm + is)/2 - ell by at
-  least one half, which is what bounds the search depth by the branching
-  budget.  The search builds a child's graph only when it visits it.
+* ``solve_imba``: the main algorithm at a fixed branching budget.  At
+  every node the graph is reduced, the termination tests run, and a
+  branching rule is picked from the Gallai-Edmonds decomposition by a
+  fixed priority: a vertex of the perfectly-matched part; an edge inside
+  the separator; a triangle component; a triangle-star component; a long
+  factor-critical component (via a 4-vertex path); and finally the plain
+  degree-2 branch, which at that point provably makes progress because
+  the graph is bipartite and thin.  Every rule names 3 or 7 children by
+  the vertex sets they delete, and each child provably lowers the
+  potential (mm + is)/2 - ell by at least one half, which is what bounds
+  the search depth by the branching budget.  The search builds a child's
+  graph only when it visits it.
+
+* ``solve_auto``: the same search, definitive.  Every branching deletes a
+  vertex, so one search at the budget ``n - 2*ell + 1`` can never be
+  truncated, and its No is final.  This is the one search that prunes:
+  the Gallai-Edmonds matching bound (a node whose maximum matching is
+  below the target) and a memo of the reduced vertex sets already proven
+  No are sound No leaves once nothing truncates.  They cut only No
+  subtrees, so the first Yes leaf in preorder, and with it the
+  certificate, is the one the unpruned search finds.
 
 * ``solve_imbtg``: the simple below-half-the-vertices algorithm, used for
   cross-validation.  Degree-based reductions only, one 3-way branching
-  rule, and a depth bound computed directly from the input.
+  rule, and the same definitive depth bound, unpruned.
 
 Answers are Yes (with a verified certificate), No, or Exhausted when the
-budget truncated the search without finding a solution.  ``solve_auto``
-needs no budget: every branching deletes a vertex, so one search at the
-budget ``n - 2*ell + 1`` can never be truncated, and its No is definitive.
-Because nothing truncates it, ``solve_auto`` also runs the paper's search
-with two sound No leaves: the Gallai-Edmonds matching bound (a node whose
-maximum matching is below the target) and a memo of the reduced vertex
-sets already proven No.  They cut only No subtrees, so the first Yes leaf
-in preorder, and with it the certificate, is the one the unpruned search
-finds.  ``solve_imba`` and ``solve_imbtg`` run unpruned.
+budget truncated the search without finding a solution; only
+``solve_imba`` can return Exhausted.
 """
 
 from __future__ import annotations
@@ -279,15 +282,6 @@ def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
     return _vertex_branch(g, Rule.DEGREE_TWO, g.vertices)
 
 
-def _choose_paper(g: Graph, dec: GEDecomposition | None = None) -> BranchChoice:
-    """``choose_rule`` on ``dec``, or on a fresh decomposition of ``g``."""
-    return choose_rule(g, decompose(g) if dec is None else dec)
-
-
-def _choose_naive(g: Graph) -> BranchChoice:
-    return _vertex_branch(g, Rule.NAIVE, g.vertices)
-
-
 # The children of each rule in the rule statement's order (first listed
 # child explored first).  A child names the actors whose vertices it
 # deletes; one that starts with "N" deletes instead the outside
@@ -328,10 +322,32 @@ def expand(g: Graph, choice: BranchChoice) -> list:
 # -- the depth-first engine ---------------------------------------------------
 
 
-def _search(
-    inst: Instance, budget: int, choose, reduce, trace, *, prune=False
-) -> SolveResult:
-    """Preorder depth-first search with a branching budget.
+def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
+    """The one preorder depth-first search behind the three solvers.
+
+    ``budget`` caps the branchings on any root-to-leaf path; a node at the
+    cap that does not close is Exhausted.  ``budget=None`` asks
+    for a definitive answer: every child of every branching rule deletes at
+    least one vertex and keeps the target, and no reduction raises
+    ``n - 2*ell``, so at depth ``n - 2*ell + 1`` (of the input) the No test
+    ``n < 2*ell`` has closed every node.  The search then runs at that
+    budget, and a node exhausted there is a bug and raises.
+
+    ``naive`` selects the simple engine: no pendant-triangle reduction and
+    the 3-way branch on the first vertex of degree at least two.  Otherwise
+    each open node branches by ``choose_rule`` on its Gallai-Edmonds
+    decomposition.
+
+    Pruning is on exactly for the definitive paper search (``budget=None``
+    and not ``naive``), so nothing truncates a pruned search and the simple
+    engine stays an unpruned cross-check.  An open node is then a No leaf
+    when the memo holds its reduced vertex set at a target no larger than
+    its own (every node graph is an induced subgraph of the input, and a
+    graph without an induced matching of size ell has none larger), or when
+    its decomposition gives ``2*mm = n - #d_components + |a| < 2*ell``;
+    otherwise that decomposition picks the rule.  A frame popped before a
+    Yes had every child searched to No, so its reduced vertex set goes into
+    the memo.  A pruned node counts as a node and traces as a No leaf.
 
     The path from the root is an explicit stack, so the depth is bounded by
     the budget rather than by Python's recursion limit.  Each frame holds
@@ -340,17 +356,11 @@ def _search(
     them; the root frame holds the input with one empty deletion set.  A
     child's graph is built only when it is popped, at depth
     ``len(stack) - 1``, so the stack keeps one graph per open node.
-
-    ``prune`` is for searches that nothing truncates, with ``choose`` the
-    paper's rules.  An open node is then a No leaf when the memo holds its
-    reduced vertex set at a target no larger than its own (every node graph
-    is an induced subgraph of the input, and a graph without an induced
-    matching of size ell has none larger), or when its Gallai-Edmonds
-    decomposition gives ``2*mm = n - #d_components + |a| < 2*ell``;
-    otherwise that decomposition picks the rule.  A frame popped before a
-    Yes had every child searched to No, so its reduced vertex set goes into
-    the memo.  A pruned node counts as a node and traces as a No leaf.
     """
+    definitive = budget is None
+    if definitive:
+        budget = max(0, inst.graph.vertex_count - 2 * inst.ell + 1)
+    prune = definitive and not naive
     stats = SearchStats()
     exhausted = False
     memo = {}
@@ -365,7 +375,7 @@ def _search(
             continue
         node = Instance(parent.graph.delete_vertices(pending.pop()), parent.ell)
         depth = len(stack) - 1
-        reduced, got, steps = reduce(node)
+        reduced, got, steps = reduce_instance(node, pendant_triangles=not naive)
         stats.nodes_visited += 1
         stats.max_depth = max(stats.max_depth, depth)
         for step in steps:
@@ -373,20 +383,20 @@ def _search(
         harvested = harvested | got
         state = terminal_state(reduced, depth, budget)
         choice = None
-        if state is TerminalState.CONTINUE and prune:
+        if state is TerminalState.CONTINUE:
             g, ell = reduced.graph, reduced.ell
-            if memo.get(g.vertices, ell + 1) <= ell:
+            if naive:
+                choice = _vertex_branch(g, Rule.NAIVE, g.vertices)
+            elif prune and memo.get(g.vertices, ell + 1) <= ell:
                 stats.memo_hits += 1
                 state = TerminalState.NO
             else:
                 dec = decompose(g)
-                if g.vertex_count - len(dec.d_components) + len(dec.a) < 2 * ell:
+                if prune and g.vertex_count - len(dec.d_components) + len(dec.a) < 2 * ell:
                     stats.bound_prunes += 1
                     state = TerminalState.NO
                 else:
-                    choice = choose(g, dec)
-        elif state is TerminalState.CONTINUE:
-            choice = choose(reduced.graph)
+                    choice = choose_rule(g, dec)
         if choice is not None:
             stats.branchings_by_rule[choice.rule.value] += 1
         if trace is not None:
@@ -411,23 +421,11 @@ def _search(
             exhausted = True
         elif choice is not None:
             stack.append((reduced, expand(reduced.graph, choice)[::-1], harvested))
-    return SolveResult(Answer.EXHAUSTED if exhausted else Answer.NO, None, stats)
-
-
-def _exhaustive(inst: Instance, search) -> SolveResult:
-    """``search(budget)`` at a budget no root-to-leaf path can reach.
-
-    Every child of every branching rule deletes at least one vertex and
-    keeps the target, and no reduction raises ``n - 2*ell``; so at depth
-    ``n - 2*ell + 1`` (of the input) the no test ``n < 2*ell`` has closed
-    every node, and the answer is definitive.
-    """
-    result = search(max(0, inst.graph.vertex_count - 2 * inst.ell + 1))
-    if result.answer is Answer.EXHAUSTED:
+    if exhausted and definitive:
         raise AssertionError(
             "the depth bound n - 2*ell + 1 can never truncate; this is a bug"
         )
-    return result
+    return SolveResult(Answer.EXHAUSTED if exhausted else Answer.NO, None, stats)
 
 
 def solve_imba(inst: Instance, budget: int, *, trace=None) -> SolveResult:
@@ -438,30 +436,24 @@ def solve_imba(inst: Instance, budget: int, *, trace=None) -> SolveResult:
     known).  Yes answers carry a certificate verified against the original
     graph.  Exhausted means the budget truncated at least one branch and
     no solution was found; it collapses to a definitive No only when the
-    budget is known to dominate the instance's true parameter.
+    budget is known to dominate the instance's true parameter.  The search
+    is unpruned.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    return _search(inst, budget, _choose_paper, reduce_instance, trace)
+    return _search(inst, trace, budget)
 
 
 def solve_auto(inst: Instance, *, trace=None) -> SolveResult:
     """Definitive Yes/No from one exhaustive decomposition-guided search.
 
     The search runs once, at the budget ``n - 2*ell + 1``, which no path
-    can reach (see ``_exhaustive``), so its No is final.  Since nothing
-    truncates it, it prunes: a node whose maximum matching is below the
-    target, or whose reduced vertex set the search already proved No at a
-    target no larger, is a No leaf (see ``_search``).  Pruning cuts only
-    No subtrees, so the answer and the certificate are those of
-    ``solve_imba`` at that budget; the node count can only fall.
+    can reach, so its No is final; and since nothing truncates it, it
+    prunes (see ``_search``).  Pruning cuts only No subtrees, so the answer
+    and the certificate are those of ``solve_imba`` at that budget; the
+    node count can only fall.
     """
-    return _exhaustive(
-        inst,
-        lambda budget: _search(
-            inst, budget, _choose_paper, reduce_instance, trace, prune=True
-        ),
-    )
+    return _search(inst, trace)
 
 
 def solve_imbtg(inst: Instance, *, trace=None) -> SolveResult:
@@ -470,15 +462,6 @@ def solve_imbtg(inst: Instance, *, trace=None) -> SolveResult:
     Degree-based reductions only and one naive 3-way branching rule, run
     once at the depth bound ``n - 2*ell + 1`` taken from the input; within
     that bound every leaf closes as Yes or No, so the answer is always
-    definitive.
+    definitive.  The search is unpruned.
     """
-    return _exhaustive(
-        inst,
-        lambda budget: _search(
-            inst,
-            budget,
-            _choose_naive,
-            lambda i: reduce_instance(i, pendant_triangles=False),
-            trace,
-        ),
-    )
+    return _search(inst, trace, naive=True)

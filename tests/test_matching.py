@@ -1,4 +1,5 @@
 import imsolve as im
+from imsolve import matching
 from imsolve.gallai_edmonds import decompose
 
 from conftest import (
@@ -102,3 +103,21 @@ def test_factor_critical_agrees_with_definition():
         assert im.is_factor_critical(g) == expected
         positives += expected
     assert positives > 100
+
+
+def test_no_forest_is_grown_from_an_isolated_vertex(monkeypatch):
+    # The greedy pass leaves 3 of the triangle and every isolated vertex
+    # exposed; only 3 has a neighbour, so only 3 starts an alternating
+    # forest.
+    calls = 0
+    search = matching._search
+
+    def counting(adj, match, roots):
+        nonlocal calls
+        calls += 1
+        return search(adj, match, roots)
+
+    monkeypatch.setattr(matching, "_search", counting)
+    g = build(10, [(1, 2), (2, 3), (1, 3)])
+    assert len(im.maximum_matching(g)) == 1
+    assert calls == 1

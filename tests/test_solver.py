@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -617,3 +618,40 @@ def test_trace_stream_is_deterministic_jsonl():
     root = json.loads(first[0])
     assert root["depth"] == 0
     assert root["rule"] == "four-path"
+
+
+def test_unpruned_searches_are_unchanged():
+    # solve_imba at budget 1 and at n - 2*ell + 1, and solve_imbtg, on 40
+    # seeded G(n, m) graphs (n 8-13, p .15/.25/.35) each at ell = im and
+    # im + 1, pinned exactly: every run's answer, sorted certificate, stats
+    # and trace lines, 10,389 lines in all.  The digest was recorded before
+    # the three solvers shared one search signature.  solve_auto is left
+    # out, as new prunes change its search by design.
+    digest = hashlib.sha256()
+    for i in range(40):
+        n = 8 + i % 6
+        p = (0.15, 0.25, 0.35)[i // 6 % 3]
+        pairs = list(combinations(range(1, n + 1), 2))
+        edges = random.Random(500 + i).sample(pairs, round(p * len(pairs)))
+        g = im.Graph.build(range(1, n + 1), edges)
+        best, _ = im.brute_im(g)
+        for ell in (best, best + 1):
+            inst = Instance(g, ell)
+            runs = (
+                lambda trace: solve_imba(inst, 1, trace=trace),
+                lambda trace: solve_imba(inst, max(0, n - 2 * ell + 1), trace=trace),
+                lambda trace: solve_imbtg(inst, trace=trace),
+            )
+            for run in runs:
+                lines = []
+                res = run(lines.append)
+                lines[:0] = [
+                    res.answer.value,
+                    json.dumps(sorted(res.certificate or ())),
+                    json.dumps(vars(res.stats), sort_keys=True),
+                ]
+                for line in lines:
+                    digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "63f03b311cf12a9734a5aacdc76094a14d870474979fecb94a110fef2dbad21d"
+    )
