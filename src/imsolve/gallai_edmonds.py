@@ -98,11 +98,13 @@ def audit(g: Graph, dec: GEDecomposition) -> AuditReport:
         f"a = {sort_labels(dec.a)} differs from N(d) - d",
     )
 
-    bad = [
-        sort_labels(comp)
-        for comp in dec.d_components
-        if not is_factor_critical(g.induced(comp))
-    ]
+    # Each component's subgraph comes from its own vertices' neighbour
+    # sets; g.induced would scan all of g once per component.
+    bad = []
+    for comp in dec.d_components:
+        labels = sort_labels(comp)
+        if not is_factor_critical(Graph({v: g.neighbors(v) & comp for v in labels})):
+            bad.append(labels)
     _check(
         report,
         "d-components-factor-critical",

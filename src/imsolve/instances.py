@@ -28,7 +28,7 @@ from .errors import (
     NotACliqueError,
     ParseError,
 )
-from .graph import Graph, edge, label_key, sort_labels
+from .graph import Graph, label_key, sort_labels
 from .kernel import Instance
 
 MAX_VERTICES = 1_000_000
@@ -135,7 +135,7 @@ def read_instance(text: str) -> Instance:
                 )
             if u == v:
                 raise ParseError("self-loop", lineno)
-            e = edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in seen:
                 raise ParseError(f"duplicate edge {u} {v}", lineno)
             seen.add(e)

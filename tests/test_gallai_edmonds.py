@@ -146,6 +146,43 @@ def test_audit_guard():
     assert audit(g, dec).ok
 
 
+def test_audit_many_components(monkeypatch):
+    # 300 disjoint triangles and a C_5: 301 factor-critical d-components.
+    # Each component's subgraph comes from its own vertices, so the audit
+    # induces on the whole graph only for d and c, not once per component.
+    k = 300
+    edges = [(3 * i + x, 3 * i + y) for i in range(k) for x, y in ((1, 2), (1, 3), (2, 3))]
+    five = range(3 * k + 1, 3 * k + 6)
+    edges += [(v, v % 5 + 3 * k + 1) for v in five]
+    g = build(3 * k + 5, edges)
+    dec = decompose(g)
+    assert len(dec.d_components) == k + 1 and dec.d == frozenset(g.vertices)
+    calls = 0
+    original = im.Graph.induced
+
+    def counted(self, keep):
+        nonlocal calls
+        calls += 1
+        return original(self, keep)
+
+    monkeypatch.setattr(im.Graph, "induced", counted)
+    assert audit(g, dec).ok
+    assert calls <= 2
+    # Split the C_5 into an edge and a path: neither part is factor-critical,
+    # and each is judged on its own edges only.
+    c5 = frozenset(five)
+    head = frozenset(five[:2])
+    tampered = GEDecomposition(
+        dec.d, dec.a, dec.c, dec.d_components[:-1] + (head, c5 - head)
+    )
+    report = audit(g, tampered)
+    assert not report.checks["d-components-factor-critical"]
+    assert (
+        f"d-components-factor-critical: components not factor-critical: "
+        f"{[list(five[:2]), list(five[2:])]}"
+    ) in report.failures
+
+
 def _surplus_by_enumeration(g, dec):
     """Reference: |N(X)| > |X| over every nonempty subset X of a."""
     comp = {v: j for j, c in enumerate(dec.d_components) for v in c}

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 import imsolve as im
@@ -149,35 +152,84 @@ def one_rule_per_scan(inst, pendant_triangles):
             return Instance(g, ell), frozenset(harvested), tuple(steps)
 
 
+def mixed_labels(g, rng):
+    """``g`` with about half its vertices renamed to strs."""
+    name = {v: v if rng.random() < 0.5 else f"v{v}" for v in g.vertices}
+    return im.Graph.build(name.values(), [(name[a], name[b]) for a, b in g.edges()])
+
+
+def triangle_chains(count, seed):
+    """Disjoint triangles joined by random edges between some of their
+    vertices, labelled by a shuffled mix of ints and strs.  Deleting one
+    apex often makes the next pendant triangle, or leaves a triangle
+    isolated, whose apex is then its smallest vertex."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.randint(1, 8)
+        labels = [v if rng.random() < 0.5 else f"v{v}" for v in range(3 * k)]
+        rng.shuffle(labels)
+        triangles = [labels[i : i + 3] for i in range(0, 3 * k, 3)]
+        edges = {frozenset(e) for t in triangles for e in combinations(t, 2)}
+        ends = [v for t in triangles for v in t[: rng.randint(0, 2)]]
+        for _ in range(rng.randint(0, 2 * k) if len(ends) > 1 else 0):
+            edges.add(frozenset(rng.sample(ends, 2)))
+        out.append(im.Graph.build(labels, [tuple(e) for e in edges]))
+    return out
+
+
 def test_rounds_match_one_rule_per_scan():
     specs = ("cw:u=2,w=2,p=0.5,nu=1-2,nw=0-2", "cw:u=2,w=3,p=0.4,nu=1,nw=1-2,tight")
     cw = [im.generate(spec, seed=seed) for spec in specs for seed in range(15)]
-    for g in random_graphs(240, max_n=12, seed0=53) + cw:
-        for ell in range(g.vertex_count // 2 + 2):
+    rng = random.Random(59)
+    mixed = [mixed_labels(g, rng) for g in random_graphs(120, max_n=12, seed0=59)]
+    cases = [
+        (g, range(g.vertex_count // 2 + 2))
+        for g in random_graphs(240, max_n=12, seed0=53) + cw + mixed + triangle_chains(150, 67)
+    ]
+    # Tight cw graphs of about 40-170 vertices reduce to nothing along
+    # chains of pendant-triangle steps; the target only decides where
+    # harvesting stops, so a few targets cover it.
+    for u in range(6, 25):
+        for seed in range(2):
+            g = im.generate(f"cw:u={u},w={u},nu=1,nw=1-3,tight", seed=seed)
+            cases.append((g, (0, 1, g.vertex_count // 4, g.vertex_count // 2 + 1)))
+    for g, ells in cases:
+        for ell in ells:
             for mode in (True, False):
                 inst = Instance(g, ell)
                 reduced, harvested, steps = reduce_instance(inst, pendant_triangles=mode)
                 assert (reduced, harvested, steps) == one_rule_per_scan(inst, mode)
 
 
-def test_one_scan_per_pendant_triangle_step_plus_one(monkeypatch):
-    scans = 0
-    original = im.Graph.local_features
+def test_one_scan_and_at_most_one_rebuild_per_reduction(monkeypatch):
+    # Only the first round scans the whole graph, and the reduced graph is
+    # built once, however many pendant-triangle steps the reduction takes.
+    calls = {"local_features": 0, "delete_vertices": 0}
 
-    def counted(self):
-        nonlocal scans
-        scans += 1
-        return original(self)
+    def counted(name):
+        original = getattr(im.Graph, name)
 
-    monkeypatch.setattr(im.Graph, "local_features", counted)
+        def wrapper(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(im.Graph, name, wrapper)
+
+    counted("local_features")
+    counted("delete_vertices")
     cw = [im.generate("cw:u=2,w=3,p=0.4,nu=1,nw=1-2,tight", seed=s) for s in range(10)]
-    for g in random_graphs(200, max_n=12, seed0=61) + cw:
+    tight = [im.generate("cw:u=20,w=20,nu=1,nw=1-3,tight", seed=s) for s in range(3)]
+    chains = 0
+    for g in random_graphs(200, max_n=12, seed0=61) + cw + tight + triangle_chains(60, 71):
         for ell in range(g.vertex_count // 2 + 2):
             for mode in (True, False):
-                scans = 0
+                calls.update(local_features=0, delete_vertices=0)
                 _, _, steps = reduce_instance(Instance(g, ell), pendant_triangles=mode)
-                triangles = [s.rule for s in steps].count(RULE_PENDANT_TRIANGLE)
-                assert scans == (triangles + 1 if mode else 1)
+                assert calls["local_features"] == 1
+                assert calls["delete_vertices"] <= 1
+                chains += [s.rule for s in steps].count(RULE_PENDANT_TRIANGLE) > 1
+    assert chains > 500
 
 
 def test_terminal_state_order():
