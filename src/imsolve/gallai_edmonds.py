@@ -8,7 +8,8 @@
 
 together with the connected components of the subgraph induced by ``d``.
 ``d`` is read off one alternating forest, grown from every vertex that one
-maximum matching leaves exposed (``matching._missable``).
+maximum matching leaves exposed (``matching._missable``); ``a``, ``c`` and
+the components come from one pass over the same index adjacency.
 
 ``audit`` re-derives the classical structural guarantees of the
 decomposition (factor-critical components, perfectly matched remainder,
@@ -22,6 +23,7 @@ alternating forest per d-component (Gallai's lemma).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from . import matching
 from .graph import Graph, sort_labels
@@ -40,11 +42,33 @@ class GEDecomposition:
 
 def decompose(g: Graph) -> GEDecomposition:
     """Compute the decomposition of ``g``."""
-    d = frozenset(v for v, o in zip(g.vertices, matching._missable(g)) if o)
-    a = g.neighborhood_of_set(d)
-    c = frozenset(g.vertices) - d - a
-    comps = g.induced(d).connected_components()
-    return GEDecomposition(d, a, c, comps)
+    labels = g.vertices
+    adj = matching._index_adjacency(g)
+    n = len(adj)
+    in_d = [False] * n
+    for i in matching._missable(adj):
+        in_d[i] = True
+    in_a = [False] * n
+    seen = [False] * n
+    comps = []
+    # Components of the subgraph on d, each from its smallest index (label
+    # order); their neighbours outside d make up a.
+    for s in compress(range(n), in_d):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        for v in comp:
+            for u in adj[v]:
+                if not in_d[u]:
+                    in_a[u] = True
+                elif not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+        comps.append(frozenset(map(labels.__getitem__, comp)))
+    d = frozenset(compress(labels, in_d))
+    a = frozenset(compress(labels, in_a))
+    return GEDecomposition(d, a, frozenset(labels).difference(d, a), tuple(comps))
 
 
 @dataclass

@@ -17,6 +17,7 @@ is built.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -92,10 +93,14 @@ def anchored_triangle() -> Graph:
 
 
 def read_instance(text: str) -> Instance:
-    """Parse an instance file; raises ParseError / InconsistentHeaderError."""
+    """Parse an instance file; raises ParseError / InconsistentHeaderError.
+
+    One pass: each edge goes straight into the neighbour sets of its
+    endpoints, which also catch duplicate edges.
+    """
     header = None
-    edges = []
-    seen = set()
+    nbrs = defaultdict(set)
+    edge_count = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -135,21 +140,24 @@ def read_instance(text: str) -> Instance:
                 )
             if u == v:
                 raise ParseError("self-loop", lineno)
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
+            if v in nbrs[u]:
                 raise ParseError(f"duplicate edge {u} {v}", lineno)
-            seen.add(e)
-            edges.append(e)
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+            edge_count += 1
         else:
             raise ParseError(f"unknown record {tokens[0]!r}", lineno)
     if header is None:
         raise ParseError("missing 'p im' header")
     n, m, ell = header
-    if len(edges) != m:
+    if edge_count != m:
         raise InconsistentHeaderError(
-            f"header declares {m} edges but the file has {len(edges)}"
+            f"header declares {m} edges but the file has {edge_count}"
         )
-    return Instance(Graph.build(range(1, n + 1), edges), ell)
+    # Vertices 1..n in increasing order are already in label order.
+    return Instance(
+        Graph({v: frozenset(nbrs.get(v, ())) for v in range(1, n + 1)}), ell
+    )
 
 
 def write_instance(inst: Instance) -> str:

@@ -1,10 +1,16 @@
 """Maximum matching on general graphs via blossom contraction.
 
-The implementation is the classical O(n^3) augmenting-path search with
-blossom shrinking, kept deliberately simple: matching is never the
-bottleneck next to the exponential search, and at desk scale (up to a few
-thousand vertices) the cubic bound is comfortable.  All tie-breaking is by
-smallest label, so the returned matching is deterministic.
+A greedy pass matches what it can, then one alternating-forest search
+(Edmonds' augmenting-path search with blossom shrinking) runs from each
+vertex the greedy pass left exposed.  A search costs what it touches: the
+forest's per-vertex arrays are allocated once per matching and a search
+resets only the vertices it reached, and a blossom is contracted over the
+members of the bases on it (sorted by index, O(k log k) for k members), not
+by a scan of every vertex.  So a search that stays inside a small component
+costs the size of that component, and k disjoint odd components cost time
+near-linear in n, not k times n.  The worst case is still a search per
+vertex over the whole graph.  All tie-breaking is by smallest label, so the
+returned matching is deterministic.
 
 Which vertices some maximum matching misses is read off one alternating
 forest (``_missable``); both the Gallai-Edmonds ``d`` set and
@@ -13,9 +19,7 @@ factor-criticality come from it.
 
 from __future__ import annotations
 
-from collections import deque
-
-from .graph import Graph, edge
+from .graph import Graph
 
 
 def _index_adjacency(g: Graph) -> list:
@@ -45,10 +49,10 @@ def _lowest_common_base(match, parent, base, a, b):
         b = parent[match[b]]
 
 
-def _mark_blossom_path(match, parent, base, path_mark, v, stop, child):
+def _mark_blossom_path(match, parent, base, marked, v, stop, child):
     while base[v] != stop:
-        path_mark[base[v]] = True
-        path_mark[base[match[v]]] = True
+        marked.add(base[v])
+        marked.add(base[match[v]])
         parent[v] = child
         child = match[v]
         v = parent[match[v]]
@@ -63,52 +67,79 @@ def _augment_from(match, parent, v):
         v = nxt
 
 
-def _search(adj, match, roots):
+def _forest(n):
+    """Clear ``parent``, ``base`` and ``outer`` arrays for ``_search``."""
+    return [-1] * n, list(range(n)), [False] * n
+
+
+def _search(adj, match, roots, parent, base, outer):
     """Grow an alternating forest from the exposed vertices ``roots``.
 
     If the forest reaches an exposed vertex outside it, augment along that
     path and return None.  Otherwise ``match`` is left untouched and the
-    outer marks are returned: ``outer[i]`` is True iff ``i`` is reachable
-    from a root by an even alternating path (blossoms included).
+    outer vertices are returned: those reachable from a root by an even
+    alternating path (blossoms included).
+
+    ``parent``, ``base`` and ``outer`` (from ``_forest``) are clear on entry
+    and are cleared again on return, for the vertices the forest touched
+    only, so a search costs what it reaches and not the size of the graph.
     """
-    n = len(adj)
-    parent = [-1] * n
-    base = list(range(n))
-    outer = [False] * n
+    # The queue keeps every outer vertex, each appended once when it turns
+    # outer; with ``inner`` it holds every vertex the forest touched.
+    queue = list(roots)
+    inner = []
+    # Members of each blossom base formed so far; any other base is alone.
+    blossoms = {}
     for r in roots:
         outer[r] = True
-    queue = deque(roots)
-    while queue:
-        v = queue.popleft()
-        for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
-                continue
-            # Several roots come only with a maximum matching, so two trees
-            # never meet at outer vertices (that edge would close an
-            # augmenting path).  An exposed outer ``to`` is then this tree's
-            # root, and blossom bases never cross trees.
-            if (match[to] == -1 and outer[to]) or (
-                match[to] != -1 and parent[match[to]] != -1
-            ):
-                # Odd cycle found: contract the blossom into its base.
-                stop = _lowest_common_base(match, parent, base, v, to)
-                path_mark = [False] * n
-                _mark_blossom_path(match, parent, base, path_mark, v, stop, to)
-                _mark_blossom_path(match, parent, base, path_mark, to, stop, v)
-                for i in range(n):
-                    if path_mark[base[i]]:
+    try:
+        for v in queue:
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                mate = match[to]
+                # Several roots come only with a maximum matching, so two
+                # trees never meet at outer vertices (that edge would close an
+                # augmenting path).  An exposed outer ``to`` is then this
+                # tree's root, and blossom bases never cross trees.
+                if (mate == -1 and outer[to]) or (mate != -1 and parent[mate] != -1):
+                    # Odd cycle found: contract the blossom into its base.
+                    # The members of the bases on it are relabelled in index
+                    # order, as a scan of all vertices would meet them; those
+                    # of ``stop`` itself are outer already and keep their base.
+                    stop = _lowest_common_base(match, parent, base, v, to)
+                    marked = set()
+                    _mark_blossom_path(match, parent, base, marked, v, stop, to)
+                    _mark_blossom_path(match, parent, base, marked, to, stop, v)
+                    marked.discard(stop)
+                    joined = [b for b in marked if b not in blossoms]
+                    for b in marked & blossoms.keys():
+                        joined += blossoms.pop(b)
+                    joined.sort()
+                    for i in joined:
                         base[i] = stop
                         if not outer[i]:
                             outer[i] = True
                             queue.append(i)
-            elif parent[to] == -1:
-                parent[to] = v
-                if match[to] == -1:
-                    _augment_from(match, parent, to)
-                    return None
-                outer[match[to]] = True
-                queue.append(match[to])
-    return outer
+                    blossoms[stop] = blossoms.get(stop, [stop]) + joined
+                elif parent[to] == -1:
+                    parent[to] = v
+                    inner.append(to)
+                    if mate == -1:
+                        _augment_from(match, parent, to)
+                        return None
+                    outer[mate] = True
+                    queue.append(mate)
+        return queue
+    finally:
+        # Only outer vertices change base or have their parent re-pointed
+        # inside a blossom.
+        for i in queue:
+            parent[i] = -1
+            base[i] = i
+            outer[i] = False
+        for i in inner:
+            parent[i] = -1
 
 
 def _maximum_matching_indices(adj):
@@ -121,10 +152,11 @@ def _maximum_matching_indices(adj):
                     match[v] = u
                     match[u] = v
                     break
+    forest = _forest(n)
     for v in range(n):
         # A vertex without neighbours stays exposed in every matching.
         if match[v] == -1 and adj[v]:
-            _search(adj, match, [v])
+            _search(adj, match, [v], *forest)
     return match
 
 
@@ -132,25 +164,23 @@ def maximum_matching(g: Graph) -> frozenset:
     """A maximum matching of ``g`` as a frozenset of normalized edges."""
     labels = g.vertices
     match = _maximum_matching_indices(_index_adjacency(g))
-    return frozenset(
-        edge(labels[i], labels[match[i]])
-        for i in range(len(match))
-        if match[i] > i
-    )
+    # Indices follow label order, so (labels[i], labels[j]) with i < j is
+    # already the normalized pair.
+    return frozenset((labels[i], labels[j]) for i, j in enumerate(match) if j > i)
 
 
-def _missable(g: Graph) -> list:
-    """Per vertex of ``g`` in label order: is it missed by some maximum
-    matching?
+def _missable(adj) -> list:
+    """The vertices, by index into ``adj``, that some maximum matching
+    misses.
 
     Given one maximum matching, those are exactly the outer vertices of the
     alternating forest grown from all its exposed vertices at once
     (Edmonds 1965; Lovasz and Plummer, *Matching Theory*, ch. 3).  As the
     matching is maximum the forest never augments, so one search suffices.
     """
-    adj = _index_adjacency(g)
     match = _maximum_matching_indices(adj)
-    return _search(adj, match, [i for i, m in enumerate(match) if m == -1])
+    roots = [i for i, m in enumerate(match) if m == -1]
+    return _search(adj, match, roots, *_forest(len(adj)))
 
 
 def has_perfect_matching(g: Graph) -> bool:
@@ -166,4 +196,6 @@ def is_factor_critical(g: Graph) -> bool:
     connected graph is factor-critical exactly when every vertex is missed
     by some maximum matching, so one alternating forest decides it.
     """
-    return len(g.connected_components()) == 1 and all(_missable(g))
+    if len(g.connected_components()) != 1:
+        return False
+    return len(_missable(_index_adjacency(g))) == g.vertex_count

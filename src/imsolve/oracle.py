@@ -221,12 +221,6 @@ def parameters(g: Graph, ell: int, cap: int = DEFAULT_CAP) -> ParameterReport:
     )
 
 
-def measure(g: Graph, ell: int, cap: int = DEFAULT_CAP) -> float:
-    """The potential (mm + is)/2 - ell, from the brute-force oracles."""
-    _require_cap(g, cap)
-    return (brute_mm(g, cap) + brute_is(g, cap)) / 2 - ell
-
-
 # -- structural recognizers -------------------------------------------------
 
 

@@ -1,6 +1,11 @@
+import hashlib
+import random
+from itertools import combinations
+
 import imsolve as im
 from imsolve import matching
 from imsolve.gallai_edmonds import decompose
+from imsolve.graph import label_key, sort_labels
 
 from conftest import (
     all_labeled_graphs,
@@ -112,12 +117,56 @@ def test_no_forest_is_grown_from_an_isolated_vertex(monkeypatch):
     calls = 0
     search = matching._search
 
-    def counting(adj, match, roots):
+    def counting(*args):
         nonlocal calls
         calls += 1
-        return search(adj, match, roots)
+        return search(*args)
 
     monkeypatch.setattr(matching, "_search", counting)
     g = build(10, [(1, 2), (2, 3), (1, 3)])
     assert len(im.maximum_matching(g)) == 1
     assert calls == 1
+
+
+def _golden_graphs():
+    """Seeded sparse G(n, c/n) up to n = 600, 300 disjoint triangles plus a
+    C_5, and 200 small G(n, p) whose labels mix ints and strings."""
+    for i, (n, c) in enumerate(
+        (n, c) for n in (50, 150, 300, 600) for c in (0.8, 1.5, 2.0, 3.0)
+    ):
+        rng = random.Random(900 + i)
+        edges = set()
+        while len(edges) < round(c * n / 2):
+            u, v = sorted(rng.sample(range(1, n + 1), 2))
+            edges.add((u, v))
+        yield im.Graph.build(range(1, n + 1), sorted(edges))
+    k = 300
+    triangles = [(3 * t + a, 3 * t + b) for t in range(k) for a, b in ((1, 2), (2, 3), (1, 3))]
+    c5 = [(3 * k + 1 + j, 3 * k + 1 + (j + 1) % 5) for j in range(5)]
+    yield im.Graph.build(range(1, 3 * k + 6), triangles + c5)
+    for i in range(200):
+        rng = random.Random(1300 + i)
+        n = rng.randint(1, 16)
+        labels = [j if j % 2 else f"v{j}" for j in range(n)]
+        p = rng.choice((0.1, 0.2, 0.3, 0.5, 0.7))
+        edges = [e for e in combinations(labels, 2) if rng.random() < p]
+        yield im.Graph.build(labels, edges)
+
+
+def test_matching_and_decomposition_are_pinned():
+    # The matching found and the whole decomposition, byte for byte; the
+    # digest was recorded before the forest searches shared their arrays.
+    digest = hashlib.sha256()
+    for g in _golden_graphs():
+        dec = decompose(g)
+        record = (
+            sorted(im.maximum_matching(g), key=lambda e: (label_key(e[0]), label_key(e[1]))),
+            sort_labels(dec.d),
+            sort_labels(dec.a),
+            sort_labels(dec.c),
+            [sort_labels(comp) for comp in dec.d_components],
+        )
+        digest.update(repr(record).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "fc28083b4e81f715bd9096b208d9011b5ae0db8a891cb90f050eae86d4c663b1"
+    )
