@@ -1,14 +1,20 @@
-"""Immutable simple graphs over opaque vertex labels.
+"""Immutable simple graphs over opaque vertex labels, and their interning.
 
-The search explores thousands of vertex-deleted subproblems of a single
-input graph.  Keeping ``Graph`` immutable makes subproblems cheap logical
-snapshots that can be shared freely, and keeping labels stable across
-deletions means a certificate found deep in the search still names vertices
-of the original input.  Label order is decided once: ``Graph.build`` inserts
-the vertices of its adjacency dict in ``sort_labels`` order, and every
-derived graph keeps its parent's order by filtering the parent's items.  So
-iteration is by label everywhere, without a sort, and branching decisions
-and traces are reproducible.
+A ``Graph`` keeps stable labels, so a certificate found deep in the search
+still names vertices of the original input.  Label order is decided once:
+``Graph.build`` inserts the vertices of its adjacency dict in
+``sort_labels`` order, and every derived graph keeps its parent's order by
+filtering the parent's items.  So iteration is by label everywhere, without
+a sort, and branching decisions and traces are reproducible.
+
+The search does not explore ``Graph`` values.  It interns its input once
+(``Interned``): vertex ``i`` in label order becomes bit ``1 << i`` and its
+neighbourhood one int mask, so a search node is the int mask of the
+vertices it keeps, a child is ``mask & ~deleted``, and index order is label
+order.  A ``Graph`` is built from a mask (``Interned.subgraph``) only for a
+node that label-level code must see: a node of the decomposition-guided
+engine that its memo does not close, for the decomposition and the choice
+of branching rule.
 """
 
 from __future__ import annotations
@@ -198,7 +204,8 @@ class Graph:
         Degrees are taken in the whole graph.  A triangle with all three
         degrees equal to 2 (an isolated triangle) is reported with its
         smallest vertex as ``v``, the one the reduction deletes.  Each
-        triangle is reported once, from its smallest degree-2 vertex.
+        triangle is reported once, from its smallest degree-2 vertex.  The
+        kernel finds the same features on masks with a scan of its own.
         """
         adj = self._adj
         isolated = []
@@ -243,6 +250,61 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
+
+
+def indices(mask: int) -> list:
+    """The set bits of ``mask`` as indices, ascending."""
+    out = []
+    # Clearing the highest bit shortens the int, so it is cheaper than
+    # clearing the lowest.
+    while mask:
+        i = mask.bit_length() - 1
+        out.append(i)
+        mask ^= 1 << i
+    out.reverse()
+    return out
+
+
+def lowest_two(mask: int) -> tuple:
+    """The two lowest set bits of ``mask`` as indices; it has at least two."""
+    low = mask & -mask
+    mask ^= low
+    return low.bit_length() - 1, (mask & -mask).bit_length() - 1
+
+
+class Interned:
+    """A graph's vertices as the bits of an int, in label order.
+
+    ``labels[i]`` is the vertex of bit ``1 << i``, ``adj[i]`` the mask of
+    its neighbours and ``full`` the mask of all vertices.  A vertex set is
+    then one int, and the induced subgraph on a mask is ``adj[i] & mask``
+    for each of its bits.
+    """
+
+    __slots__ = ("graph", "labels", "bit", "adj", "full")
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.labels = graph.vertices
+        self.bit = bit = {v: 1 << i for i, v in enumerate(self.labels)}
+        # The bits of distinct neighbours are distinct powers of two, so
+        # their sum is their union.
+        self.adj = [sum(map(bit.__getitem__, nbrs)) for nbrs in graph._adj.values()]
+        self.full = (1 << len(self.labels)) - 1
+
+    def mask_of(self, vertices) -> int:
+        """The mask of a set of labels."""
+        return sum(map(self.bit.__getitem__, vertices))
+
+    def labels_of(self, mask: int) -> list:
+        """The labels of the bits of ``mask``, in label order."""
+        return list(map(self.labels.__getitem__, indices(mask)))
+
+    def subgraph(self, mask: int) -> Graph:
+        """The subgraph of ``graph`` induced by the vertices of ``mask``."""
+        if mask == self.full:
+            return self.graph
+        return self.graph.induced(self.labels_of(mask))
 
 
 def verify_induced_matching(g: Graph, matching) -> bool:

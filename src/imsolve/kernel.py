@@ -22,8 +22,14 @@ pendant triangle changes only its neighbours' degrees, so each feature it
 creates or changes contains one of those neighbours: an isolated vertex,
 an isolated edge, or a pendant triangle that is new or became isolated,
 which has a neighbour of degree 2.  Later rounds therefore look only at
-those neighbours, keep the other pendant triangles waiting in a heap in
-the scan's order, and build the reduced graph once, at the end.
+those neighbours and keep the other pendant triangles waiting in a heap
+in the scan's order.
+
+The rules run on an interned graph (``graph.Interned``): ``reduce_mask``
+takes a vertex set as one int mask and works on indices, whose order is
+label order, with a degree list by index.  ``reduce_instance`` is the
+label-level entry point: it interns its graph, reduces the mask, and
+builds the reduced graph once, at the end.
 
 Every application is returned as a ``ReductionStep`` so tests can replay
 the exact deletion sequence step by step.
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 
-from .graph import Graph
+from .graph import Graph, Interned, indices
 
 RULE_ISOLATED_VERTEX = "isolated-vertex"
 RULE_ISOLATED_EDGE = "isolated-edge"
@@ -70,51 +76,82 @@ def reduce_instance(inst: Instance, *, pendant_triangles: bool = True):
     ``pendant_triangles=False`` only the two degree-based rules run (the
     below-trivial-guarantee solver uses that mode).
 
-    Only the first round reads ``local_features``.  Each later round looks
-    only at the live neighbours of the apex that the last pendant-triangle
-    step deleted, since theirs are the only degrees that changed (see the
-    module docstring); the scan's other pendant triangles wait in a heap
-    keyed by label rank ``(v, u)``, the scan's order, and each is checked
-    again when it reaches the top.  So every round takes the steps a fresh
-    scan would, and the reduced graph is built once, at the end.
+    The graph is interned and reduced by ``reduce_mask``; the reduced graph
+    is built once, at the end.
     """
     g = inst.graph
-    ell = inst.ell
+    bits = Interned(g)
+    live, ell, harvested, steps = reduce_mask(
+        bits.adj, bits.full, inst.ell, pendant_triangles
+    )
+    if live != bits.full:
+        g = g.delete_vertices(bits.labels_of(bits.full & ~live))
+    labels = bits.labels
+
+    def pair(e):
+        return (labels[e[0]], labels[e[1]])
+
+    return (
+        Instance(g, ell),
+        frozenset(map(pair, harvested)),
+        tuple(
+            ReductionStep(rule, tuple(map(labels.__getitem__, deleted)), h and pair(h))
+            for rule, deleted, h in steps
+        ),
+    )
+
+
+def reduce_mask(
+    adj, live: int, ell: int, pendant_triangles: bool = True, changed=None
+):
+    """``reduce_instance`` on the vertex mask ``live`` of an interned graph
+    with neighbour masks ``adj`` (see ``graph.Interned``).
+
+    Returns ``(live, ell, harvested, steps)``: the reduced mask and target,
+    the harvested edges as index pairs ``(i, j)`` with ``i < j``, and the
+    steps as ``(rule, deleted, harvested)`` triples over indices.  Index
+    order is label order, so an index is its vertex's rank.
+
+    The first round scans the vertices of ``changed``, by default all of
+    ``live``.  Without ``pendant_triangles``, a caller whose ``live`` is a
+    reduced mask minus some vertices may pass their neighbours in ``live``
+    instead: no other vertex's degree changed, so a feature without one of
+    them was a feature of the reduced mask already.  (The pendant-triangle
+    rule reads the degrees that the whole scan finds.)  Each later round
+    looks only at the live neighbours of the apex that the last
+    pendant-triangle step deleted (see the module docstring), with their
+    degrees kept up to date, while the scan's other pendant triangles wait
+    in a heap of ``(v, u, w)`` triples, the scan's order, each checked again
+    when it reaches the top.  So every round takes the steps a fresh scan
+    of the whole graph would.
+    """
+    if changed is None:
+        changed = live
+    elif pendant_triangles:
+        raise ValueError("a partial first scan leaves degrees unknown")
     steps = []
-    harvested = set()
-    doomed = set()
-    feats = g.local_features()
-    isolated, iso_edges = feats.isolated_vertices, feats.isolated_edges
-    heap = None
+    harvested = []
+    # Live degrees; a vertex deleted by the reduction reads 0 or 1.
+    deg, isolated, iso_edges, heap = _scan(adj, live, pendant_triangles, changed)
     while True:
         for v in isolated:
-            steps.append(ReductionStep(RULE_ISOLATED_VERTEX, (v,), None))
-        doomed.update(isolated)
+            steps.append((RULE_ISOLATED_VERTEX, (v,), None))
+            live ^= 1 << v
         for e in iso_edges:
-            doomed.update(e)
+            live ^= 1 << e[0] | 1 << e[1]
             if ell > 0:
                 ell -= 1
-                harvested.add(e)
-                steps.append(ReductionStep(RULE_ISOLATED_EDGE, e, e))
+                harvested.append(e)
+                steps.append((RULE_ISOLATED_EDGE, e, e))
             else:
-                steps.append(ReductionStep(RULE_ISOLATED_EDGE, e, None))
-        if heap is None:
-            if not (pendant_triangles and feats.pendant_triangles):
-                break
-            nbrs = g.neighbors
-            # Position in g.vertices, which is label order.
-            rank = {v: i for i, v in enumerate(g.vertices)}
-            # Live degrees; a deleted vertex reads 0 or 1.
-            deg = {v: len(nbrs(v)) for v in rank}
-            # The scan sorts by (v, u), so its list is already a heap.
-            heap = [(rank[t[1]], rank[t[0]], t) for t in feats.pendant_triangles]
-        v = _pop_apex(heap, deg, rank)
+                steps.append((RULE_ISOLATED_EDGE, e, None))
+        v = _pop_apex(heap, deg)
         if v is None:
             break
-        steps.append(ReductionStep(RULE_PENDANT_TRIANGLE, (v,), None))
-        doomed.add(v)
+        steps.append((RULE_PENDANT_TRIANGLE, (v,), None))
+        live ^= 1 << v
         deg[v] = 0
-        touched = [y for y in nbrs(v) if y not in doomed]
+        touched = indices(adj[v] & live)
         for y in touched:
             deg[y] -= 1
         isolated = []
@@ -124,49 +161,99 @@ def reduce_instance(inst: Instance, *, pendant_triangles: bool = True):
             if d == 0:
                 isolated.append(y)
             elif d == 1:
-                (z,) = [z for z in nbrs(y) if z not in doomed]
+                z = (adj[y] & live).bit_length() - 1
                 if deg[z] == 1:
-                    edges.add((y, z) if rank[y] < rank[z] else (z, y))
-            elif d == 2:
-                a, b = [z for z in nbrs(y) if z not in doomed]
-                if b in nbrs(a):
-                    _push_triangle(heap, deg, rank, y, a, b)
-        isolated.sort(key=rank.__getitem__)
-        iso_edges = sorted(edges, key=lambda e: rank[e[0]])
-    if doomed:
-        g = g.delete_vertices(doomed)
-    return Instance(g, ell), frozenset(harvested), tuple(steps)
+                    edges.add((y, z) if y < z else (z, y))
+            elif d == 2 and (triangle := _pendant(adj, live, deg, y)):
+                heappush(heap, triangle)
+        # Isolated-edge pairs are disjoint, so sorting them sorts their
+        # smaller ends.
+        iso_edges = sorted(edges)
+    return live, ell, harvested, steps
 
 
-def _pop_apex(heap, deg, rank):
-    """Pop the first triangle still reported as it was pushed; its apex."""
-    while heap:
-        _, _, (u, v, w) = heappop(heap)
-        # u and w of degree 2 keep their neighbours, so the triangle stands;
-        # it is reported as (u, v, w) while v has more neighbours, or, once
-        # the triangle is isolated, while v is its smallest vertex.
-        if deg[u] == 2 == deg[w] and (
-            deg[v] > 2 or (deg[v] == 2 and rank[v] < rank[u])
-        ):
-            return v
+def _scan(adj, live: int, pendant_triangles: bool, changed: int):
+    """The one scan of a reduction: the features of ``live`` that contain a
+    vertex of ``changed``.
+
+    Returns what ``Graph.local_features`` reports, over indices: the
+    isolated vertices, the isolated edges as ``(x, u)`` with ``x < u``, and,
+    with ``pendant_triangles``, the pendant triangles as ``(v, u, w)``, apex
+    first; each list sorted, so the last one is a heap.  First, though, it
+    returns the degrees by index that the pendant-triangle steps keep up to
+    date: the live degree of each vertex of ``live``, or None without
+    ``pendant_triangles``.  Those degrees come from the scan, so with
+    ``pendant_triangles`` it scans all of ``live``, and ``changed`` must be
+    ``live``.
+    """
+    deg = [0] * len(adj) if pendant_triangles else None
+    isolated = []
+    iso_edges = []
+    twos = []
+    # Highest index first: clearing the top bit shortens the int.
+    rest = changed
+    while rest:
+        x = rest.bit_length() - 1
+        bit = 1 << x
+        rest ^= bit
+        nbrs = adj[x] & live
+        d = nbrs.bit_count()
+        if pendant_triangles:
+            deg[x] = d
+        if d == 1:
+            u = nbrs.bit_length() - 1
+            # Reported once, from its smaller end that is scanned.
+            if adj[u] & live == bit and (x < u or not changed >> u & 1):
+                iso_edges.append((x, u) if x < u else (u, x))
+        elif d == 0:
+            isolated.append(x)
+        elif d == 2 and pendant_triangles:
+            # On a triangle iff its lower neighbour sees the other.
+            if adj[(nbrs & -nbrs).bit_length() - 1] & nbrs:
+                twos.append(x)
+    isolated.reverse()
+    iso_edges.sort()
+    pendants = []
+    for x in twos:
+        triangle = _pendant(adj, live, deg, x)
+        # Reported once, from its smallest vertex of degree 2: the apex of
+        # an isolated triangle, else u.
+        if triangle and x == (triangle[0] if deg[triangle[0]] == 2 else triangle[1]):
+            pendants.append(triangle)
+    pendants.sort()
+    return deg, isolated, iso_edges, pendants
+
+
+def _pendant(adj, live: int, deg, y: int):
+    """The triangle at ``y``, a live vertex of degree 2, as ``(v, u, w)`` if
+    it is pendant, else None.
+
+    An isolated triangle has its smallest vertex as the apex v, else the
+    apex is the vertex of degree above 2; u < w are the other two.
+    """
+    nbrs = adj[y] & live
+    b = nbrs.bit_length() - 1
+    a = (nbrs ^ (1 << b)).bit_length() - 1
+    if not adj[a] >> b & 1:
+        return None  # y's two neighbours are not adjacent
+    if deg[a] == 2 == deg[b]:
+        return tuple(sorted((y, a, b)))
+    if deg[a] == 2 or deg[b] == 2:
+        x, v = (a, b) if deg[a] == 2 else (b, a)
+        return (v, y, x) if y < x else (v, x, y)
     return None
 
 
-def _push_triangle(heap, deg, rank, y, a, b):
-    """Push the triangle {y, a, b}, y of degree 2, if it is pendant.
-
-    Reports it as ``local_features`` would: an isolated triangle with its
-    smallest vertex as the apex, else the apex is the vertex of degree
-    above 2.
-    """
-    if deg[a] == 2 == deg[b]:
-        v, u, w = sorted((y, a, b), key=rank.__getitem__)
-    elif deg[a] == 2 or deg[b] == 2:
-        x, v = (a, b) if deg[a] == 2 else (b, a)
-        u, w = (y, x) if rank[y] < rank[x] else (x, y)
-    else:
-        return
-    heappush(heap, (rank[v], rank[u], (u, v, w)))
+def _pop_apex(heap, deg):
+    """Pop the first triangle still reported as it was pushed; its apex."""
+    while heap:
+        v, u, w = heappop(heap)
+        # u and w of degree 2 keep their neighbours, so the triangle stands;
+        # it is reported as (v, u, w) while v has more neighbours, or, once
+        # the triangle is isolated, while v is its smallest vertex.
+        if deg[u] == 2 == deg[w] and (deg[v] > 2 or (deg[v] == 2 and v < u)):
+            return v
+    return None
 
 
 class TerminalState(Enum):
@@ -184,9 +271,14 @@ def terminal_state(inst: Instance, depth: int, budget: int) -> TerminalState:
     the budget test so a solution sitting at the budget boundary is still
     reported.
     """
-    if inst.ell == 0:
+    return node_state(inst.graph.vertex_count, inst.ell, depth, budget)
+
+
+def node_state(n: int, ell: int, depth: int, budget: int) -> TerminalState:
+    """``terminal_state`` of a reduced node with ``n`` vertices."""
+    if ell == 0:
         return TerminalState.YES
-    if inst.graph.vertex_count < 2 * inst.ell:
+    if n < 2 * ell:
         return TerminalState.NO
     if depth >= budget:
         return TerminalState.EXHAUSTED

@@ -72,7 +72,7 @@ def _forest(n):
     return [-1] * n, list(range(n)), [False] * n
 
 
-def _search(adj, match, roots, parent, base, outer):
+def _search(adj, match, roots, parent, base, outer, *, reset=True):
     """Grow an alternating forest from the exposed vertices ``roots``.
 
     If the forest reaches an exposed vertex outside it, augment along that
@@ -83,6 +83,8 @@ def _search(adj, match, roots, parent, base, outer):
     ``parent``, ``base`` and ``outer`` (from ``_forest``) are clear on entry
     and are cleared again on return, for the vertices the forest touched
     only, so a search costs what it reaches and not the size of the graph.
+    A last search, whose arrays are thrown away, skips that with
+    ``reset=False``.
     """
     # The queue keeps every outer vertex, each appended once when it turns
     # outer; with ``inner`` it holds every vertex the forest touched.
@@ -132,14 +134,15 @@ def _search(adj, match, roots, parent, base, outer):
                     queue.append(mate)
         return queue
     finally:
-        # Only outer vertices change base or have their parent re-pointed
-        # inside a blossom.
-        for i in queue:
-            parent[i] = -1
-            base[i] = i
-            outer[i] = False
-        for i in inner:
-            parent[i] = -1
+        if reset:
+            # Only outer vertices change base or have their parent
+            # re-pointed inside a blossom.
+            for i in queue:
+                parent[i] = -1
+                base[i] = i
+                outer[i] = False
+            for i in inner:
+                parent[i] = -1
 
 
 def _maximum_matching_indices(adj):
@@ -180,7 +183,7 @@ def _missable(adj) -> list:
     """
     match = _maximum_matching_indices(adj)
     roots = [i for i, m in enumerate(match) if m == -1]
-    return _search(adj, match, roots, *_forest(len(adj)))
+    return _search(adj, match, roots, *_forest(len(adj)), reset=False)
 
 
 def has_perfect_matching(g: Graph) -> bool:

@@ -12,8 +12,7 @@ One depth-first search, run on an explicit stack, has three entry points:
   the graph is bipartite and thin.  Every rule names 3 or 7 children by
   the vertex sets they delete, and each child provably lowers the
   potential (mm + is)/2 - ell by at least one half, which is what bounds
-  the search depth by the branching budget.  The search builds a child's
-  graph only when it visits it.
+  the search depth by the branching budget.
 
 * ``solve_auto``: the same search, definitive.  Every branching deletes a
   vertex, so one search at the budget ``n - 2*ell + 1`` can never be
@@ -31,6 +30,12 @@ One depth-first search, run on an explicit stack, has three entry points:
 Answers are Yes (with a verified certificate), No, or Exhausted when the
 budget truncated the search without finding a solution; only
 ``solve_imba`` can return Exhausted.
+
+The search interns its input once (``graph.Interned``) and explores
+vertex-deleted subgraphs of it as int masks: reductions, terminal tests,
+the memo and the naive branch all work on masks, and a label-level
+``Graph`` is built only for a paper-engine node that the memo does not
+close, for the decomposition and the rule choice (see ``_search``).
 """
 
 from __future__ import annotations
@@ -42,8 +47,15 @@ from enum import Enum
 
 from .errors import PreconditionViolatedError
 from .gallai_edmonds import GEDecomposition, decompose
-from .graph import Graph, label_key, sort_labels, verify_induced_matching
-from .kernel import Instance, TerminalState, reduce_instance, terminal_state
+from .graph import (
+    Graph,
+    Interned,
+    label_key,
+    lowest_two,
+    sort_labels,
+    verify_induced_matching,
+)
+from .kernel import Instance, TerminalState, node_state, reduce_mask
 from .oracle import triangle_star_parts
 
 
@@ -322,6 +334,23 @@ def expand(g: Graph, choice: BranchChoice) -> list:
 # -- the depth-first engine ---------------------------------------------------
 
 
+def _naive_branch(adj, live: int):
+    """``_vertex_branch`` of the naive rule on a mask: the lowest vertex of
+    degree >= 2 and its two lowest neighbours, as indices ``(v, u, w)``."""
+    rest = live
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        nbrs = adj[v] & live
+        if nbrs & (nbrs - 1):
+            return (v, *lowest_two(nbrs))
+    raise PreconditionViolatedError(
+        "no vertex of degree at least 2 for the naive rule; "
+        "reductions were not exhaustive"
+    )
+
+
 def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
     """The one preorder depth-first search behind the three solvers.
 
@@ -349,78 +378,107 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
     Yes had every child searched to No, so its reduced vertex set goes into
     the memo.  A pruned node counts as a node and traces as a No leaf.
 
+    The input is interned once (``graph.Interned``), and a node is the int
+    mask of its vertices: a child is its parent's reduced mask minus a
+    deletion mask, ``reduce_mask`` reduces it, the terminal test counts its
+    bits, the memo is keyed on it, and the naive rule reads its branch off
+    it.  A naive child is a reduced mask minus one vertex, so its reduction
+    scans only that vertex's neighbours.  A label-level ``Graph`` is built
+    only for a paper-engine node that passes the memo test: ``decompose``,
+    the matching bound, ``choose_rule`` and ``expand`` run on it, and
+    ``expand``'s deletion sets are mapped back to masks.  Harvested edges
+    are index pairs until a Yes maps them to labels.
+
     The path from the root is an explicit stack, so the depth is bounded by
     the budget rather than by Python's recursion limit.  Each frame holds
-    one open node's reduced instance, the deletion sets of its unvisited
-    children, last one next, and the edges harvested on the path down to
-    them; the root frame holds the input with one empty deletion set.  A
-    child's graph is built only when it is popped, at depth
-    ``len(stack) - 1``, so the stack keeps one graph per open node.
+    one open node's reduced mask and target, the deletion masks of its
+    unvisited children, last one next, and the edges harvested on the path
+    down to them; the root frame holds the input with one empty deletion
+    mask.  The node at the top is at depth ``len(stack) - 1``.
     """
+    bits = Interned(inst.graph)
+    adj, labels = bits.adj, bits.labels
     definitive = budget is None
     if definitive:
-        budget = max(0, inst.graph.vertex_count - 2 * inst.ell + 1)
+        budget = max(0, len(labels) - 2 * inst.ell + 1)
     prune = definitive and not naive
+    naive_rule = Rule.NAIVE.value
     stats = SearchStats()
     exhausted = False
     memo = {}
-    stack = [(inst, [()], frozenset())]
+    stack = [(bits.full, inst.ell, [0], frozenset())]
     while stack:
-        parent, pending, harvested = stack[-1]
+        parent, target, pending, harvested = stack[-1]
         if not pending:
             stack.pop()
             if prune and stack:
                 # A smaller target for this set would have been a memo hit.
-                memo[parent.graph.vertices] = parent.ell
+                memo[parent] = target
             continue
-        node = Instance(parent.graph.delete_vertices(pending.pop()), parent.ell)
         depth = len(stack) - 1
-        reduced, got, steps = reduce_instance(node, pendant_triangles=not naive)
+        deleted = pending.pop()
+        child = parent & ~deleted
+        changed = None
+        if naive and deleted:
+            # The parent is reduced, so only the deleted vertex's neighbours
+            # can be part of a feature of the child.
+            changed = adj[deleted.bit_length() - 1] & child
+        live, ell, got, steps = reduce_mask(adj, child, target, not naive, changed)
         stats.nodes_visited += 1
-        stats.max_depth = max(stats.max_depth, depth)
+        if depth > stats.max_depth:
+            stats.max_depth = depth
         for step in steps:
-            stats.reductions_by_rule[step.rule] += 1
-        harvested = harvested | got
-        state = terminal_state(reduced, depth, budget)
-        choice = None
+            stats.reductions_by_rule[step[0]] += 1
+        if got:
+            harvested = harvested.union(got)
+        n = live.bit_count()
+        state = node_state(n, ell, depth, budget)
+        rule = None
         if state is TerminalState.CONTINUE:
-            g, ell = reduced.graph, reduced.ell
             if naive:
-                choice = _vertex_branch(g, Rule.NAIVE, g.vertices)
-            elif prune and memo.get(g.vertices, ell + 1) <= ell:
+                v, u, w = _naive_branch(adj, live)
+                rule = naive_rule
+                actors = {"v": labels[v], "u": labels[u], "w": labels[w]}
+                # _CHILDREN[Rule.NAIVE] deletes u, then v, then w.
+                children = [1 << w, 1 << v, 1 << u]
+            elif prune and memo.get(live, ell + 1) <= ell:
                 stats.memo_hits += 1
                 state = TerminalState.NO
             else:
+                g = bits.subgraph(live)
                 dec = decompose(g)
-                if prune and g.vertex_count - len(dec.d_components) + len(dec.a) < 2 * ell:
+                if prune and n - len(dec.d_components) + len(dec.a) < 2 * ell:
                     stats.bound_prunes += 1
                     state = TerminalState.NO
                 else:
                     choice = choose_rule(g, dec)
-        if choice is not None:
-            stats.branchings_by_rule[choice.rule.value] += 1
+                    rule, actors = choice.rule.value, choice.actors
+                    children = list(map(bits.mask_of, reversed(expand(g, choice))))
+        if rule is not None:
+            stats.branchings_by_rule[rule] += 1
         if trace is not None:
             record = {
                 "depth": depth,
-                "n": reduced.graph.vertex_count,
-                "ell": reduced.ell,
+                "n": n,
+                "ell": ell,
                 "state": state.value,
-                "rule": choice.rule.value if choice else None,
-                "actors": dict(choice.actors) if choice else None,
+                "rule": rule,
+                "actors": actors if rule else None,
             }
             trace(json.dumps(record, sort_keys=True, default=str))
         if state is TerminalState.YES:
-            if len(harvested) != inst.ell or not verify_induced_matching(
-                inst.graph, harvested
+            certificate = frozenset((labels[i], labels[j]) for i, j in harvested)
+            if len(certificate) != inst.ell or not verify_induced_matching(
+                inst.graph, certificate
             ):
                 raise AssertionError(
                     "solver produced an invalid certificate; this is a bug"
                 )
-            return SolveResult(Answer.YES, harvested, stats)
+            return SolveResult(Answer.YES, certificate, stats)
         if state is TerminalState.EXHAUSTED:
             exhausted = True
-        elif choice is not None:
-            stack.append((reduced, expand(reduced.graph, choice)[::-1], harvested))
+        elif rule is not None:
+            stack.append((live, ell, children, harvested))
     if exhausted and definitive:
         raise AssertionError(
             "the depth bound n - 2*ell + 1 can never truncate; this is a bug"

@@ -4,6 +4,8 @@ from itertools import combinations
 import pytest
 
 import imsolve as im
+from imsolve import kernel
+from imsolve.graph import Interned, indices
 from imsolve.kernel import (
     RULE_ISOLATED_EDGE,
     RULE_ISOLATED_VERTEX,
@@ -11,6 +13,7 @@ from imsolve.kernel import (
     Instance,
     TerminalState,
     reduce_instance,
+    reduce_mask,
     terminal_state,
 )
 
@@ -207,31 +210,57 @@ def test_rounds_match_one_rule_per_scan():
 def test_one_scan_and_at_most_one_rebuild_per_reduction(monkeypatch):
     # Only the first round scans the whole graph, and the reduced graph is
     # built once, however many pendant-triangle steps the reduction takes.
-    calls = {"local_features": 0, "delete_vertices": 0}
+    calls = {"scan": 0, "delete_vertices": 0}
+    scan = kernel._scan
+    delete_vertices = im.Graph.delete_vertices
 
-    def counted(name):
-        original = getattr(im.Graph, name)
+    def counted_scan(adj, live, pendant_triangles, changed):
+        assert changed == live
+        calls["scan"] += 1
+        return scan(adj, live, pendant_triangles, changed)
 
-        def wrapper(self, *args):
-            calls[name] += 1
-            return original(self, *args)
+    def counted_delete_vertices(self, remove):
+        calls["delete_vertices"] += 1
+        return delete_vertices(self, remove)
 
-        monkeypatch.setattr(im.Graph, name, wrapper)
-
-    counted("local_features")
-    counted("delete_vertices")
+    monkeypatch.setattr(kernel, "_scan", counted_scan)
+    monkeypatch.setattr(im.Graph, "delete_vertices", counted_delete_vertices)
     cw = [im.generate("cw:u=2,w=3,p=0.4,nu=1,nw=1-2,tight", seed=s) for s in range(10)]
     tight = [im.generate("cw:u=20,w=20,nu=1,nw=1-3,tight", seed=s) for s in range(3)]
     chains = 0
     for g in random_graphs(200, max_n=12, seed0=61) + cw + tight + triangle_chains(60, 71):
         for ell in range(g.vertex_count // 2 + 2):
             for mode in (True, False):
-                calls.update(local_features=0, delete_vertices=0)
+                calls.update(scan=0, delete_vertices=0)
                 _, _, steps = reduce_instance(Instance(g, ell), pendant_triangles=mode)
-                assert calls["local_features"] == 1
+                assert calls["scan"] == 1
                 assert calls["delete_vertices"] <= 1
                 chains += [s.rule for s in steps].count(RULE_PENDANT_TRIANGLE) > 1
     assert chains > 500
+
+
+def test_scan_of_a_deleted_vertex_neighbours_finds_every_feature():
+    # Without pendant triangles, a reduced mask minus one vertex has every
+    # feature among that vertex's neighbours, so the naive search scans only
+    # those and still takes the steps of a whole scan.
+    rng = random.Random(79)
+    graphs = random_graphs(150, max_n=12, seed0=83)
+    graphs += [mixed_labels(g, rng) for g in random_graphs(60, max_n=12, seed0=89)]
+    partial = 0
+    for g in graphs:
+        bits = Interned(g)
+        for ell in (0, 2):
+            parent, _, _, _ = reduce_mask(bits.adj, bits.full, ell, False)
+            for x in indices(parent):
+                child = parent & ~(1 << x)
+                changed = bits.adj[x] & child
+                assert reduce_mask(bits.adj, child, ell, False, changed) == reduce_mask(
+                    bits.adj, child, ell, False
+                )
+                partial += changed != child
+    assert partial > 1000
+    with pytest.raises(ValueError):
+        reduce_mask(bits.adj, bits.full, 0, True, 0)
 
 
 def test_terminal_state_order():

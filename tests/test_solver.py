@@ -9,6 +9,7 @@ import pytest
 import imsolve as im
 from imsolve.errors import PreconditionViolatedError
 from imsolve.gallai_edmonds import decompose
+from imsolve.graph import label_key
 from imsolve.kernel import Instance, TerminalState, reduce_instance, terminal_state
 from imsolve.solver import (
     Answer,
@@ -655,3 +656,69 @@ def test_unpruned_searches_are_unchanged():
     assert digest.hexdigest() == (
         "63f03b311cf12a9734a5aacdc76094a14d870474979fecb94a110fef2dbad21d"
     )
+
+
+def relabelled(g, name):
+    return im.Graph.build(map(name, g.vertices), [(name(a), name(b)) for a, b in g.edges()])
+
+
+def seeded_gnm_graph(n, p, seed):
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = random.Random(seed).sample(pairs, round(p * len(pairs)))
+    return im.Graph.build(range(1, n + 1), edges)
+
+
+def test_pruned_search_is_unchanged():
+    # solve_auto at ell = im and im + 1, pinned exactly: every run's
+    # answer, sorted certificate, stats (bound_prunes and memo_hits
+    # included) and trace lines.  The inputs are 27 seeded G(n, m) graphs
+    # (n 8-16, p .15/.25/.35), 8 tight cw graphs (the pendant-triangle
+    # path; im is their matching number), 20 anchored triangle stars, and
+    # 12 G(n, m) graphs with about half their vertices renamed to strs.
+    # The digest was recorded before the search ran on interned bitmasks.
+    graphs = [
+        (g, im.brute_im(g)[0])
+        for g in [seeded_gnm_graph(8 + i % 9, (0.15, 0.25, 0.35)[i // 9], 700 + i) for i in range(27)]
+        + anchored_triangle_stars(20, seed=9)
+    ]
+    for s in range(8):
+        g = im.generate("cw:u=3,w=4,p=0.4,nu=1,nw=1-2,tight", seed=s)
+        graphs.append((g, len(im.maximum_matching(g))))
+    rng = random.Random(11)
+    for i in range(12):
+        g = seeded_gnm_graph(9 + i % 4, 0.25, 800 + i)
+        strs = {v for v in g.vertices if rng.random() < 0.5}
+        mixed = relabelled(g, lambda v: f"v{v}" if v in strs else v)
+        graphs.append((mixed, im.brute_im(mixed)[0]))
+    digest = hashlib.sha256()
+    for g, best in graphs:
+        for ell in (best, best + 1):
+            lines = []
+            res = solve_auto(Instance(g, ell), trace=lines.append)
+            cert = sorted(res.certificate or (), key=lambda e: (label_key(e[0]), label_key(e[1])))
+            lines[:0] = [
+                res.answer.value,
+                json.dumps(cert),
+                json.dumps(vars(res.stats), sort_keys=True),
+            ]
+            for line in lines:
+                digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "0420bc42ea83a50a22ce58926fe7942e22f291fa4369925a2fa399f75692d9ba"
+    )
+
+
+def test_disjoint_union_of_int_and_str_labelled_graphs():
+    # im(G + H) = im(G) + im(H); the union mixes int and str labels, so
+    # interning orders and indexes both label types at n up to 24.
+    for i, (n_g, n_h) in enumerate([(8, 12), (10, 10), (12, 9), (11, 12), (12, 12), (9, 8)]):
+        g = seeded_gnm_graph(n_g, 0.3, 40 + i)
+        h = relabelled(seeded_gnm_graph(n_h, 0.25, 60 + i), lambda v: f"h{v}")
+        union = im.Graph.build(g.vertices + h.vertices, g.edges() + h.edges())
+        best = im.brute_im(g)[0] + im.brute_im(h)[0]
+        for solve in (solve_auto, solve_imbtg):
+            yes = solve(Instance(union, best))
+            assert yes.answer is Answer.YES
+            assert len(yes.certificate) == best
+            assert im.verify_induced_matching(union, yes.certificate)
+            assert solve(Instance(union, best + 1)).answer is Answer.NO
