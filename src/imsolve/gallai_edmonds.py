@@ -9,7 +9,12 @@
 together with the connected components of the subgraph induced by ``d``.
 ``d`` is read off one alternating forest, grown from every vertex that one
 maximum matching leaves exposed (``matching._missable``); ``a``, ``c`` and
-the components come from one pass over the same index adjacency.
+the components come from one pass over the same index adjacency.  That
+core (``_partition``) works on indices only.  ``decompose`` feeds it a
+``Graph``'s index adjacency and names the result by label;
+``decompose_mask`` feeds it the induced subgraph on a vertex mask of an
+interned graph, built from the neighbour masks, and returns masks, which
+is how the search decomposes its nodes without building a ``Graph``.
 
 ``audit`` re-derives the classical structural guarantees of the
 decomposition (factor-critical components, perfectly matched remainder,
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from . import matching
-from .graph import Graph, sort_labels
+from .graph import Graph, indices, sort_labels
 from .matching import has_perfect_matching, is_factor_critical, maximum_matching
 
 
@@ -43,7 +48,54 @@ class GEDecomposition:
 def decompose(g: Graph) -> GEDecomposition:
     """Compute the decomposition of ``g``."""
     labels = g.vertices
-    adj = matching._index_adjacency(g)
+    in_d, in_a, comps = _partition(matching._index_adjacency(g))
+    d = frozenset(compress(labels, in_d))
+    a = frozenset(compress(labels, in_a))
+    return GEDecomposition(
+        d,
+        a,
+        frozenset(labels).difference(d, a),
+        tuple([frozenset(map(labels.__getitem__, comp)) for comp in comps]),
+    )
+
+
+def decompose_mask(adj, live: int):
+    """``decompose`` of the vertex mask ``live`` of an interned graph with
+    neighbour masks ``adj`` (see ``graph.Interned``).
+
+    Returns ``(d, a, comps)`` as masks: ``d``, ``a``, and the components of
+    the subgraph on ``d`` in the order ``decompose`` lists them; ``c`` is
+    ``live & ~(d | a)``.  The vertices of ``live`` are indexed by rank, so
+    the index adjacency is the one ``decompose`` builds for the induced
+    subgraph, with no ``Graph`` built.
+    """
+    order = indices(live)
+    rank = {v: i for i, v in enumerate(order)}
+    sub = []
+    for v in order:
+        nbrs = adj[v] & live
+        row = []
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            row.append(rank[low.bit_length() - 1])
+        sub.append(row)
+    in_d, in_a, comps = _partition(sub)
+    bits = [1 << v for v in order]
+    return (
+        sum(compress(bits, in_d)),
+        sum(compress(bits, in_a)),
+        [sum(map(bits.__getitem__, comp)) for comp in comps],
+    )
+
+
+def _partition(adj):
+    """The decomposition of the graph with index adjacency ``adj``, by index.
+
+    Returns ``(in_d, in_a, comps)``: whether each index is in ``d``, whether
+    it is in ``a``, and the components of the subgraph on ``d`` as index
+    lists, ordered by smallest index.
+    """
     n = len(adj)
     in_d = [False] * n
     for i in matching._missable(adj):
@@ -51,8 +103,8 @@ def decompose(g: Graph) -> GEDecomposition:
     in_a = [False] * n
     seen = [False] * n
     comps = []
-    # Components of the subgraph on d, each from its smallest index (label
-    # order); their neighbours outside d make up a.
+    # Each component grows from its smallest index; the neighbours of its
+    # vertices outside d make up a.
     for s in compress(range(n), in_d):
         if seen[s]:
             continue
@@ -65,10 +117,8 @@ def decompose(g: Graph) -> GEDecomposition:
                 elif not seen[u]:
                     seen[u] = True
                     comp.append(u)
-        comps.append(frozenset(map(labels.__getitem__, comp)))
-    d = frozenset(compress(labels, in_d))
-    a = frozenset(compress(labels, in_a))
-    return GEDecomposition(d, a, frozenset(labels).difference(d, a), tuple(comps))
+        comps.append(comp)
+    return in_d, in_a, comps
 
 
 @dataclass

@@ -7,14 +7,12 @@ still names vertices of the original input.  Label order is decided once:
 filtering the parent's items.  So iteration is by label everywhere, without
 a sort, and branching decisions and traces are reproducible.
 
-The search does not explore ``Graph`` values.  It interns its input once
-(``Interned``): vertex ``i`` in label order becomes bit ``1 << i`` and its
-neighbourhood one int mask, so a search node is the int mask of the
-vertices it keeps, a child is ``mask & ~deleted``, and index order is label
-order.  A ``Graph`` is built from a mask (``Interned.subgraph``) only for a
-node that label-level code must see: a node of the decomposition-guided
-engine that its memo does not close, for the decomposition and the choice
-of branching rule.
+The search builds no ``Graph``.  It interns its input once (``Interned``):
+vertex ``i`` in label order becomes bit ``1 << i`` and its neighbourhood
+one int mask, so a search node is the int mask of the vertices it keeps, a
+child is ``mask & ~deleted``, and index order is label order.  Reductions,
+the decomposition and the branching rules all run on masks; labels come
+back only in traces and certificates.
 """
 
 from __future__ import annotations
@@ -281,10 +279,9 @@ class Interned:
     for each of its bits.
     """
 
-    __slots__ = ("graph", "labels", "bit", "adj", "full")
+    __slots__ = ("labels", "bit", "adj", "full")
 
     def __init__(self, graph: Graph):
-        self.graph = graph
         self.labels = graph.vertices
         self.bit = bit = {v: 1 << i for i, v in enumerate(self.labels)}
         # The bits of distinct neighbours are distinct powers of two, so
@@ -299,12 +296,6 @@ class Interned:
     def labels_of(self, mask: int) -> list:
         """The labels of the bits of ``mask``, in label order."""
         return list(map(self.labels.__getitem__, indices(mask)))
-
-    def subgraph(self, mask: int) -> Graph:
-        """The subgraph of ``graph`` induced by the vertices of ``mask``."""
-        if mask == self.full:
-            return self.graph
-        return self.graph.induced(self.labels_of(mask))
 
 
 def verify_induced_matching(g: Graph, matching) -> bool:

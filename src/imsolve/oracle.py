@@ -11,8 +11,9 @@ detects graphs whose maximum matching and maximum induced matching sizes
 coincide, ``classify_tight`` the (rarer) graphs where the induced matching
 number reaches the average of matching number and independence number.
 Both recognizers, and ``triangle_star_parts``, take pendant triangles from
-``Graph.local_features``, the same scan the kernel's pendant-triangle rule
-reads, so the structure is defined in one place.
+``Graph.local_features``, which reports the triangles that the kernel's
+mask scan finds for its pendant-triangle rule and for the search's
+triangle-star test.
 """
 
 from __future__ import annotations

@@ -32,10 +32,12 @@ budget truncated the search without finding a solution; only
 ``solve_imba`` can return Exhausted.
 
 The search interns its input once (``graph.Interned``) and explores
-vertex-deleted subgraphs of it as int masks: reductions, terminal tests,
-the memo and the naive branch all work on masks, and a label-level
-``Graph`` is built only for a paper-engine node that the memo does not
-close, for the decomposition and the rule choice (see ``_search``).
+vertex-deleted subgraphs of it as int masks, and builds no ``Graph``:
+reductions, terminal tests, the memo, the decomposition, the matching
+bound, the rule choice and the children all work on masks (see
+``_search``).  ``choose_rule``, ``expand``, ``find_path4`` and
+``find_degree2_survivor`` are the label-level faces of the mask rules: each
+interns its graph and calls the one implementation the search uses.
 """
 
 from __future__ import annotations
@@ -46,17 +48,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import PreconditionViolatedError
-from .gallai_edmonds import GEDecomposition, decompose
-from .graph import (
-    Graph,
-    Interned,
-    label_key,
-    lowest_two,
-    sort_labels,
-    verify_induced_matching,
-)
-from .kernel import Instance, TerminalState, node_state, reduce_mask
-from .oracle import triangle_star_parts
+from .gallai_edmonds import GEDecomposition, decompose_mask
+from .graph import Graph, Interned, indices, lowest_two, verify_induced_matching
+from .kernel import Instance, TerminalState, _scan, node_state, reduce_mask
 
 
 class Rule(str, Enum):
@@ -118,180 +112,171 @@ class SolveResult:
     stats: SearchStats
 
 
-# -- structural helpers for the branching rules ------------------------------
+# -- the branching rules ----------------------------------------------------
+#
+# The rules run on an interned graph (``graph.Interned``): a vertex set is
+# an int mask, a vertex its index, and index order is label order, so the
+# lowest bit is the smallest label and every tie-break is by label.  The
+# label-level functions below intern their graph and call these.
 
 
-def find_path4(g: Graph, component):
-    """An ordered path on four distinct vertices inside ``component``.
+def _low(mask: int) -> int:
+    """The lowest set bit of ``mask`` as an index."""
+    return (mask & -mask).bit_length() - 1
 
-    Exists whenever the component has at least four vertices and is not a
-    star; returns None otherwise.  Constructive: pivot on a maximum-degree
-    vertex v.  If v sees everything, any adjacent pair among its neighbors
-    extends to a path; otherwise some neighbor of v has a neighbor outside
-    v's closed neighborhood.  Ties break to the smallest label.
-    """
-    comp = frozenset(component)
-    if len(comp) < 4:
-        return None
-    sub = g.induced(comp)
-    order = sub.vertices
-    v = min(order, key=lambda x: (-sub.degree(x), label_key(x)))
-    nv = sub.neighbors(v)
-    if sub.degree(v) == len(comp) - 1:
-        for w in sort_labels(nv):
-            for x in sort_labels(sub.neighbors(w) & nv):
-                # The first x will do: v has at least 3 neighbors.
-                return (sort_labels(nv - {w, x})[0], v, w, x)
-        return None  # neighbors pairwise nonadjacent: a star
-    outside = frozenset(order) - nv - {v}
-    for w in sort_labels(nv):
-        hits = sort_labels(sub.neighbors(w) & outside)
-        if hits:
-            u = sort_labels(nv - {w})[0]
-            return (u, v, w, hits[0])
+
+def _vertex_branch(adj, live: int, candidates: int):
+    """The lowest vertex of ``candidates`` with two neighbours in ``live``,
+    and its two lowest such neighbours, as indices ``(v, u, w)``; or None."""
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        v = low.bit_length() - 1
+        nbrs = adj[v] & live
+        if nbrs & (nbrs - 1):
+            return (v, *lowest_two(nbrs))
     return None
 
 
-def find_degree2_survivor(g: Graph, component, v):
-    """A vertex of the component with two neighbors there after deleting v.
-
-    Guaranteed to exist when the component induces a factor-critical graph
-    that is not a triangle star; its absence indicates a decomposition bug,
-    so it raises rather than returning a sentinel.  Returns
-    ``(vertex, nbr1, nbr2)`` with smallest-label ties.
-    """
-    rest = frozenset(component) - {v}
-    for cand in sort_labels(rest):
-        nbrs = sort_labels(g.neighbors(cand) & rest)
-        if len(nbrs) >= 2:
-            return cand, nbrs[0], nbrs[1]
-    raise PreconditionViolatedError(
-        f"no vertex of degree 2 in the component after removing {v!r}; "
-        "the component cannot be factor-critical and non-triangle-star"
-    )
-
-
-def _smallest_neighbor_in(g: Graph, v, pool):
-    return min((x for x in g.neighbors(v) if x in pool), key=label_key, default=None)
-
-
-def _anchors(g: Graph, candidates, pool) -> dict:
-    """Each candidate with a neighbor in ``pool``, in the given order, mapped
-    to its smallest such neighbor."""
-    return {
-        x: a
-        for x in candidates
-        if (a := _smallest_neighbor_in(g, x, pool)) is not None
-    }
-
-
-def _vertex_branch(g: Graph, rule: Rule, candidates) -> BranchChoice:
-    """Branch on the first candidate of degree >= 2 and its two smallest
-    neighbors.
+def _vertex_choice(adj, live: int, rule: Rule, candidates: int):
+    """``rule`` on the branch vertex of ``_vertex_branch``, as ``(rule,
+    actors)``.
 
     Every caller passes candidates that hold such a vertex in a reduced
     nonempty graph, so finding none is a bug in the reductions and raises.
     """
-    for v in candidates:
-        if g.degree(v) >= 2:
-            u, w = sort_labels(g.neighbors(v))[:2]
-            return BranchChoice(rule, {"v": v, "u": u, "w": w})
-    raise PreconditionViolatedError(
-        f"no vertex of degree at least 2 for the {rule.value} rule; "
-        "reductions were not exhaustive"
-    )
+    found = _vertex_branch(adj, live, candidates)
+    if found is None:
+        raise PreconditionViolatedError(
+            f"no vertex of degree at least 2 for the {rule.value} rule; "
+            "reductions were not exhaustive"
+        )
+    v, u, w = found
+    return rule, {"v": v, "u": u, "w": w}
 
 
-def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
-    """Pick the highest-priority applicable branching rule.
+def _anchors(adj, candidates: int, pool: int) -> list:
+    """Each vertex of ``candidates`` with a neighbour in ``pool``, lowest
+    first, paired with its lowest such neighbour."""
+    return [(x, _low(hits)) for x in indices(candidates) if (hits := adj[x] & pool)]
 
-    Requires a fully reduced nonempty graph.  The priority is: a vertex of
-    C; an edge inside A; a triangle D-component; a triangle-star
-    D-component; a 4-vertex path in the first other D-component of at
-    least five vertices; a degree-two vertex.  Triangle and triangle-star
-    branches act on the members with a neighbor in A, each paired with its
-    smallest one.  A precondition that reduction guarantees raises
-    ``PreconditionViolatedError`` when it fails.
+
+def _path4(adj, comp: int):
+    """``find_path4`` on the vertex mask ``comp``."""
+    size = comp.bit_count()
+    if size < 4:
+        return None
+    # max keeps the first, lowest, vertex of maximum degree.
+    v = max(indices(comp), key=lambda x: (adj[x] & comp).bit_count())
+    nv = adj[v] & comp
+    if nv.bit_count() == size - 1:
+        for w in indices(nv):
+            if hits := adj[w] & nv:
+                # The first x will do: v has at least 3 neighbors.
+                x = _low(hits)
+                return (_low(nv & ~(1 << w | 1 << x)), v, w, x)
+        return None  # neighbors pairwise nonadjacent: a star
+    outside = comp & ~nv & ~(1 << v)
+    for w in indices(nv):
+        if hits := adj[w] & outside:
+            return (_low(nv & ~(1 << w)), v, w, _low(hits))
+    return None
+
+
+def _survivor(adj, comp: int, v: int):
+    """``find_degree2_survivor`` on the vertex mask ``comp`` and index ``v``."""
+    rest = comp & ~(1 << v)
+    found = _vertex_branch(adj, rest, rest)
+    if found is None:
+        raise PreconditionViolatedError(
+            "no vertex of degree 2 in the component after removing one of "
+            "its vertices; the component cannot be factor-critical and "
+            "non-triangle-star"
+        )
+    return found
+
+
+def _choose(adj, live: int, a: int, c: int, comps) -> tuple:
+    """``choose_rule`` on the node ``live``, whose decomposition has the
+    masks ``a`` and ``c`` and the D-components ``comps``.
+
+    Returns ``(rule, actors)`` with the actors as indices.
     """
-    if dec.c:
-        return _vertex_branch(g, Rule.C_VERTEX, sort_labels(dec.c))
-    for u in sort_labels(dec.a):
-        v = _smallest_neighbor_in(g, u, dec.a)
-        if v is not None:
-            return BranchChoice(Rule.A_EDGE, {"u": u, "v": v})
-    for comp in dec.d_components:
+    if c:
+        return _vertex_choice(adj, live, Rule.C_VERTEX, c)
+    for u in indices(a):
+        if hits := adj[u] & a:
+            return Rule.A_EDGE, {"u": u, "v": _low(hits)}
+    for comp in comps:
         # D-components are factor-critical, and on three vertices that
         # means a triangle.
-        if len(comp) != 3:
+        if comp.bit_count() != 3:
             continue
-        anchors = _anchors(g, sort_labels(comp), dec.a)
+        anchors = _anchors(adj, comp, a)
         if len(anchors) < 2:
             raise PreconditionViolatedError(
                 "triangle component without two separator neighbors; the "
                 "pendant-triangle reduction was not exhaustive"
             )
-        (u, ua), (v, va) = list(anchors.items())[:2]
-        (w,) = comp - {u, v}
-        return BranchChoice(Rule.TRIANGLE, {"u": u, "v": v, "w": w, "ua": ua, "va": va})
+        (u, ua), (v, va) = anchors[:2]
+        w = _low(comp & ~(1 << u | 1 << v))
+        return Rule.TRIANGLE, {"u": u, "v": v, "w": w, "ua": ua, "va": va}
     long_comp = None
-    for comp in dec.d_components:
-        if len(comp) < 5:
+    for comp in comps:
+        if comp.bit_count() < 5:
             continue
-        parts = triangle_star_parts(g.induced(comp))
-        if parts is None:
+        # A triangle star has 2k + 1 vertices and k pendant triangles, all
+        # on the center (see ``oracle.triangle_star_parts``).
+        triangles = _scan(adj, comp, True, comp)[3]
+        if not triangles or comp.bit_count() != 2 * len(triangles) + 1:
             if long_comp is None:
                 long_comp = comp
             continue
-        _, pairs = parts
-        partner = {x: y for pair in pairs for x, y in (pair, pair[::-1])}
+        partner = {}
+        for _, x, y in triangles:
+            partner[x], partner[y] = y, x
         # Outer vertices of distinct pendant triangles are nonadjacent;
         # after exhausting the pendant-triangle reduction, each pair has
         # a member with a separator neighbor.
-        sep = _anchors(g, sort_labels(partner), dec.a)
-        u = next(iter(sep), None)
-        rest = [x for x in sep if x not in (u, partner[u])]
-        if not rest:
-            raise PreconditionViolatedError(
-                "triangle-star component with separator contact in fewer "
-                "than two pendant triangles"
-            )
-        v = rest[0]
-        return BranchChoice(
-            Rule.TRIANGLE_STAR,
-            {
-                "u": u,
-                "v": v,
-                "ua": sep[u],
-                "va": sep[v],
-                "uc": partner[u],
-                "vc": partner[v],
-            },
+        sep = _anchors(adj, comp & ~(1 << triangles[0][0]), a)
+        if sep:
+            u, ua = sep[0]
+            for v, va in sep[1:]:
+                if v != partner[u]:
+                    return Rule.TRIANGLE_STAR, {
+                        "u": u,
+                        "v": v,
+                        "ua": ua,
+                        "va": va,
+                        "uc": partner[u],
+                        "vc": partner[v],
+                    }
+        raise PreconditionViolatedError(
+            "triangle-star component with separator contact in fewer "
+            "than two pendant triangles"
         )
     if long_comp is not None:
-        path = find_path4(g, long_comp)
+        path = _path4(adj, long_comp)
         if path is None:
             raise PreconditionViolatedError(
                 "large factor-critical component without a 4-vertex path"
             )
         u, v, w, x = path
-        vp, v1, v2 = find_degree2_survivor(g, long_comp, v)
-        wp, w1, w2 = find_degree2_survivor(g, long_comp, w)
-        return BranchChoice(
-            Rule.FOUR_PATH,
-            {
-                "u": u,
-                "v": v,
-                "w": w,
-                "x": x,
-                "vp": vp,
-                "v1": v1,
-                "v2": v2,
-                "wp": wp,
-                "w1": w1,
-                "w2": w2,
-            },
-        )
-    return _vertex_branch(g, Rule.DEGREE_TWO, g.vertices)
+        vp, v1, v2 = _survivor(adj, long_comp, v)
+        wp, w1, w2 = _survivor(adj, long_comp, w)
+        return Rule.FOUR_PATH, {
+            "u": u,
+            "v": v,
+            "w": w,
+            "x": x,
+            "vp": vp,
+            "v1": v1,
+            "v2": v2,
+            "wp": wp,
+            "w1": w1,
+            "w2": w2,
+        }
+    return _vertex_choice(adj, live, Rule.DEGREE_TWO, live)
 
 
 # The children of each rule in the rule statement's order (first listed
@@ -308,6 +293,94 @@ _CHILDREN = {
     Rule.FOUR_PATH: ("v vp", "v v1", "v v2", "w wp", "w w1", "w w2", "N v w"),
 }
 
+# ``_CHILDREN`` split once: each child as (deletes N(X), actor keys of X).
+_CHILD_KEYS = {
+    rule: tuple(
+        (keys[0] == "N", tuple(keys[keys[0] == "N":]))
+        for keys in map(str.split, children)
+    )
+    for rule, children in _CHILDREN.items()
+}
+
+
+def _children(adj, live: int, rule: Rule, actors: dict) -> list:
+    """``expand`` on the node ``live`` with actors given as indices: the
+    deletion masks of the children, in ``_CHILDREN`` order."""
+    out = []
+    for hood, keys in _CHILD_KEYS[rule]:
+        mask = 0
+        for k in keys:
+            mask |= 1 << actors[k]
+        if hood:
+            near = 0
+            for k in keys:
+                near |= adj[actors[k]]
+            mask = near & live & ~mask
+            if not mask:
+                raise PreconditionViolatedError(
+                    "branch on an adjacent pair with empty outside neighborhood"
+                )
+        out.append(mask)
+    return out
+
+
+# -- the label-level interface ---------------------------------------------------
+
+
+def _index(bits: Interned, v) -> int:
+    return bits.bit[v].bit_length() - 1
+
+
+def find_path4(g: Graph, component):
+    """An ordered path on four distinct vertices inside ``component``.
+
+    Exists whenever the component has at least four vertices and is not a
+    star; returns None otherwise.  Constructive: pivot on a maximum-degree
+    vertex v.  If v sees everything, any adjacent pair among its neighbors
+    extends to a path; otherwise some neighbor of v has a neighbor outside
+    v's closed neighborhood.  Ties break to the smallest label.
+    """
+    bits = Interned(g)
+    path = _path4(bits.adj, bits.mask_of(frozenset(component)))
+    return None if path is None else tuple(map(bits.labels.__getitem__, path))
+
+
+def find_degree2_survivor(g: Graph, component, v):
+    """A vertex of the component with two neighbors there after deleting v.
+
+    Guaranteed to exist when the component induces a factor-critical graph
+    that is not a triangle star; its absence indicates a decomposition bug,
+    so it raises rather than returning a sentinel.  Returns
+    ``(vertex, nbr1, nbr2)`` with smallest-label ties.
+    """
+    bits = Interned(g)
+    found = _survivor(bits.adj, bits.mask_of(frozenset(component)), _index(bits, v))
+    return tuple(map(bits.labels.__getitem__, found))
+
+
+def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
+    """Pick the highest-priority applicable branching rule.
+
+    Requires a fully reduced nonempty graph.  The priority is: a vertex of
+    C; an edge inside A; a triangle D-component; a triangle-star
+    D-component; a 4-vertex path in the first other D-component of at
+    least five vertices; a degree-two vertex.  A vertex rule branches on
+    the first candidate of degree at least two and its two smallest
+    neighbors.  Triangle and triangle-star branches act on the members
+    with a neighbor in A, each paired with its smallest one.  A
+    precondition that reduction guarantees raises
+    ``PreconditionViolatedError`` when it fails.
+    """
+    bits = Interned(g)
+    rule, actors = _choose(
+        bits.adj,
+        bits.full,
+        bits.mask_of(dec.a),
+        bits.mask_of(dec.c),
+        list(map(bits.mask_of, dec.d_components)),
+    )
+    return BranchChoice(rule, {k: bits.labels[i] for k, i in actors.items()})
+
 
 def expand(g: Graph, choice: BranchChoice) -> list:
     """The deletion sets that define the children of a branching choice,
@@ -316,39 +389,15 @@ def expand(g: Graph, choice: BranchChoice) -> list:
     Each child is ``g`` minus one of these sets, with the parent's target;
     no graph is built here.
     """
-    deletions = []
-    for child in _CHILDREN[choice.rule]:
-        keys = child.split()
-        if keys[0] != "N":
-            deletions.append({choice.actors[k] for k in keys})
-            continue
-        hood = g.neighborhood_of_set({choice.actors[k] for k in keys[1:]})
-        if not hood:
-            raise PreconditionViolatedError(
-                "branch on an adjacent pair with empty outside neighborhood"
-            )
-        deletions.append(set(hood))
-    return deletions
+    bits = Interned(g)
+    actors = {k: _index(bits, v) for k, v in choice.actors.items()}
+    return [
+        set(bits.labels_of(mask))
+        for mask in _children(bits.adj, bits.full, choice.rule, actors)
+    ]
 
 
 # -- the depth-first engine ---------------------------------------------------
-
-
-def _naive_branch(adj, live: int):
-    """``_vertex_branch`` of the naive rule on a mask: the lowest vertex of
-    degree >= 2 and its two lowest neighbours, as indices ``(v, u, w)``."""
-    rest = live
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        nbrs = adj[v] & live
-        if nbrs & (nbrs - 1):
-            return (v, *lowest_two(nbrs))
-    raise PreconditionViolatedError(
-        "no vertex of degree at least 2 for the naive rule; "
-        "reductions were not exhaustive"
-    )
 
 
 def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
@@ -383,11 +432,13 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
     deletion mask, ``reduce_mask`` reduces it, the terminal test counts its
     bits, the memo is keyed on it, and the naive rule reads its branch off
     it.  A naive child is a reduced mask minus one vertex, so its reduction
-    scans only that vertex's neighbours.  A label-level ``Graph`` is built
-    only for a paper-engine node that passes the memo test: ``decompose``,
-    the matching bound, ``choose_rule`` and ``expand`` run on it, and
-    ``expand``'s deletion sets are mapped back to masks.  Harvested edges
-    are index pairs until a Yes maps them to labels.
+    scans only that vertex's neighbours.  A paper-engine node that passes
+    the memo test is decided on its mask too: ``decompose_mask`` gives its
+    ``d``, ``a`` and D-components as masks, which give the matching bound,
+    and ``_choose`` and ``_children`` (``choose_rule`` and ``expand`` on
+    masks) give the rule, its actors as indices and the deletion masks.  No
+    ``Graph`` is built; labels appear only in trace records, and harvested
+    edges are index pairs until a Yes maps them to labels.
 
     The path from the root is an explicit stack, so the depth is bounded by
     the budget rather than by Python's recursion limit.  Each frame holds
@@ -402,7 +453,7 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
     if definitive:
         budget = max(0, len(labels) - 2 * inst.ell + 1)
     prune = definitive and not naive
-    naive_rule = Rule.NAIVE.value
+    naive_name = Rule.NAIVE.value
     stats = SearchStats()
     exhausted = False
     memo = {}
@@ -436,34 +487,32 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
         rule = None
         if state is TerminalState.CONTINUE:
             if naive:
-                v, u, w = _naive_branch(adj, live)
-                rule = naive_rule
-                actors = {"v": labels[v], "u": labels[u], "w": labels[w]}
+                rule, actors = _vertex_choice(adj, live, Rule.NAIVE, live)
+                name = naive_name
                 # _CHILDREN[Rule.NAIVE] deletes u, then v, then w.
-                children = [1 << w, 1 << v, 1 << u]
+                children = [1 << actors["w"], 1 << actors["v"], 1 << actors["u"]]
             elif prune and memo.get(live, ell + 1) <= ell:
                 stats.memo_hits += 1
                 state = TerminalState.NO
             else:
-                g = bits.subgraph(live)
-                dec = decompose(g)
-                if prune and n - len(dec.d_components) + len(dec.a) < 2 * ell:
+                d, a, comps = decompose_mask(adj, live)
+                if prune and n - len(comps) + a.bit_count() < 2 * ell:
                     stats.bound_prunes += 1
                     state = TerminalState.NO
                 else:
-                    choice = choose_rule(g, dec)
-                    rule, actors = choice.rule.value, choice.actors
-                    children = list(map(bits.mask_of, reversed(expand(g, choice))))
+                    rule, actors = _choose(adj, live, a, live & ~(d | a), comps)
+                    name = rule.value
+                    children = _children(adj, live, rule, actors)[::-1]
         if rule is not None:
-            stats.branchings_by_rule[rule] += 1
+            stats.branchings_by_rule[name] += 1
         if trace is not None:
             record = {
                 "depth": depth,
                 "n": n,
                 "ell": ell,
                 "state": state.value,
-                "rule": rule,
-                "actors": actors if rule else None,
+                "rule": name if rule else None,
+                "actors": {k: labels[i] for k, i in actors.items()} if rule else None,
             }
             trace(json.dumps(record, sort_keys=True, default=str))
         if state is TerminalState.YES:

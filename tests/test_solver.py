@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -706,6 +710,140 @@ def test_pruned_search_is_unchanged():
     assert digest.hexdigest() == (
         "0420bc42ea83a50a22ce58926fe7942e22f291fa4369925a2fa399f75692d9ba"
     )
+
+
+def anchored_stars(count, seed):
+    """Triangle stars whose every pendant pair is anchored to separators.
+
+    A center ``c`` with k = 2-4 triangles ``c x_i y_i`` and 1-3 separator
+    vertices ``s_j``, each with two pendant leaves; one or both members of
+    every pair are joined to separators, so no pendant triangle is left for
+    the reduction and the star is a D-component.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k, r = rng.randint(2, 4), rng.randint(1, 3)
+        pairs = [(f"x{i}", f"y{i}") for i in range(k)]
+        labels = ["c"] + [x for pair in pairs for x in pair]
+        edges = [("c", x) for pair in pairs for x in pair] + pairs
+        for j in range(r):
+            labels += [f"s{j}", f"l{j}a", f"l{j}b"]
+            edges += [(f"s{j}", f"l{j}a"), (f"s{j}", f"l{j}b")]
+        for pair in pairs:
+            for x in rng.sample(pair, rng.randint(1, 2)):
+                edges.append((x, f"s{rng.randrange(r)}"))
+        out.append(im.Graph.build(labels, edges))
+    return out
+
+
+def hung_odd_cycles(count, seed):
+    """Two or three copies of C_3, C_5 or C_7 hung on 1-3 separator
+    vertices, each separator with two pendant leaves and sometimes joined to
+    the next one.  A triangle hangs by two of its vertices, a longer cycle
+    by one or two."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.randint(1, 3)
+        labels = [f"s{j}" for j in range(k)] + [f"l{j}{x}" for j in range(k) for x in "ab"]
+        edges = [(f"s{j}", f"s{j + 1}") for j in range(k - 1) if rng.random() < 0.3]
+        edges += [(f"s{j}", f"l{j}{x}") for j in range(k) for x in "ab"]
+        for c in range(rng.randint(2, 3)):
+            size = rng.choice((3, 3, 5, 7))
+            cyc = [f"c{c}_{i}" for i in range(size)]
+            labels += cyc
+            edges += [(cyc[i], cyc[(i + 1) % size]) for i in range(size)]
+            for x in rng.sample(cyc, 2 if size == 3 else rng.randint(1, 2)):
+                edges.append((x, f"s{rng.randrange(k)}"))
+        out.append(im.Graph.build(labels, edges))
+    return out
+
+
+def test_rule_choice_is_unchanged():
+    # choose_rule and expand on the reduced nonempty nodes of the first
+    # three levels of the paper's search tree, pinned exactly: every rule,
+    # its actors and its deletion sets.  The inputs are 120 anchored
+    # triangle stars, 60 graphs of odd cycles hung on separators and 30
+    # G(n, m) graphs (n 10-16), so each of the six rules fires at least 100
+    # times.  The digest was recorded before the rules ran on bitmasks.
+    graphs = (
+        anchored_stars(120, seed=21)
+        + hung_odd_cycles(60, seed=22)
+        + [seeded_gnm_graph(10 + i % 7, (0.15, 0.25, 0.35)[i % 3], 900 + i) for i in range(30)]
+    )
+    digest = hashlib.sha256()
+    fired = Counter()
+    for g in graphs:
+        frontier = [g]
+        for _ in range(3):
+            children = []
+            for node in frontier:
+                h = reduce_instance(Instance(node, 1))[0].graph
+                if h.vertex_count == 0:
+                    continue
+                choice = choose_rule(h, decompose(h))
+                deletions = expand(h, choice)
+                fired[choice.rule.value] += 1
+                line = json.dumps(
+                    [
+                        choice.rule.value,
+                        sorted(choice.actors.items()),
+                        [sorted(d, key=label_key) for d in deletions],
+                    ]
+                )
+                digest.update(line.encode() + b"\n")
+                children += [h.delete_vertices(d) for d in deletions]
+            frontier = children
+    assert min(fired[rule.value] for rule in Rule if rule is not Rule.NAIVE) >= 100
+    assert digest.hexdigest() == (
+        "a49465a1ab709df4b566d891343c8cfdd42dc49c30a61a7947cfbf0121812800"
+    )
+
+
+_TRACE_DIGEST = """
+import hashlib, random, sys
+from itertools import combinations
+import imsolve as im
+from imsolve.graph import label_key
+digest = hashlib.sha256()
+for i in range(24):
+    n = 10 + i % 7
+    pairs = list(combinations(range(n), 2))
+    edges = random.Random(1200 + i).sample(pairs, round((0.2, 0.3)[i % 2] * len(pairs)))
+    # Odd vertices get str labels, so label order mixes both types.
+    name = lambda v: f"v{v}" if v % 2 else v
+    g = im.Graph.build(map(name, range(n)), [(name(a), name(b)) for a, b in edges])
+    best, _ = im.brute_im(g)
+    for ell in (best, best + 1):
+        inst = im.Instance(g, ell)
+        for run in (
+            lambda trace: im.solve_auto(inst, trace=trace),
+            lambda trace: im.solve_imba(inst, 2, trace=trace),
+        ):
+            lines = []
+            res = run(lines.append)
+            cert = sorted(res.certificate or (), key=lambda e: (label_key(e[0]), label_key(e[1])))
+            lines += [res.answer.value, repr(cert)]
+            for line in lines:
+                digest.update(line.encode() + b"\\n")
+print(digest.hexdigest())
+"""
+
+
+def test_search_does_not_depend_on_the_hash_seed():
+    # Iterating a set of labels follows the hash seed, so any such order
+    # leaking into the search would change its trace between processes.
+    src = str(Path(im.__file__).resolve().parents[1])
+    digests = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _TRACE_DIGEST],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_disjoint_union_of_int_and_str_labelled_graphs():
