@@ -8,13 +8,17 @@
 
 together with the connected components of the subgraph induced by ``d``.
 ``d`` is read off one alternating forest, grown from every vertex that one
-maximum matching leaves exposed (``matching._missable``); ``a``, ``c`` and
-the components come from one pass over the same index adjacency.  That
-core (``_partition``) works on indices only.  ``decompose`` feeds it a
-``Graph``'s index adjacency and names the result by label;
-``decompose_mask`` feeds it the induced subgraph on a vertex mask of an
-interned graph, built from the neighbour masks, and returns masks, which
-is how the search decomposes its nodes without building a ``Graph``.
+maximum matching leaves exposed (``matching._outer``).  ``decompose`` does
+that on a ``Graph``'s index adjacency and finds ``a``, ``c`` and the
+components in one pass over the same lists (``_partition``).
+
+The search decomposes its nodes on masks of an interned graph, in two
+steps, so that a node pays only for what it uses.  ``mask_matching``
+builds the node's index adjacency from the neighbour masks and one maximum
+matching of it, which is all the search's matching bound reads.
+``decompose_mask`` then grows the forest from that matching, for a node
+that branches, and finds ``a`` and the components of ``d`` with mask
+operations on the neighbour masks.
 
 ``audit`` re-derives the classical structural guarantees of the
 decomposition (factor-critical components, perfectly matched remainder,
@@ -59,15 +63,15 @@ def decompose(g: Graph) -> GEDecomposition:
     )
 
 
-def decompose_mask(adj, live: int):
-    """``decompose`` of the vertex mask ``live`` of an interned graph with
-    neighbour masks ``adj`` (see ``graph.Interned``).
+def mask_matching(adj, live: int):
+    """One maximum matching of the subgraph on the vertex mask ``live`` of
+    an interned graph with neighbour masks ``adj`` (see ``graph.Interned``).
 
-    Returns ``(d, a, comps)`` as masks: ``d``, ``a``, and the components of
-    the subgraph on ``d`` in the order ``decompose`` lists them; ``c`` is
-    ``live & ~(d | a)``.  The vertices of ``live`` are indexed by rank, so
-    the index adjacency is the one ``decompose`` builds for the induced
-    subgraph, with no ``Graph`` built.
+    Returns ``(order, sub, match)``: the indices of ``live`` in ascending
+    order, the subgraph's index adjacency with each vertex indexed by its
+    rank in ``order`` (the adjacency ``decompose`` builds for the induced
+    subgraph, with no ``Graph`` built), and the mate of each rank, -1 if
+    exposed.  Twice the matching number is ``len(order) - match.count(-1)``.
     """
     order = indices(live)
     rank = {v: i for i, v in enumerate(order)}
@@ -80,13 +84,42 @@ def decompose_mask(adj, live: int):
             nbrs ^= low
             row.append(rank[low.bit_length() - 1])
         sub.append(row)
-    in_d, in_a, comps = _partition(sub)
-    bits = [1 << v for v in order]
-    return (
-        sum(compress(bits, in_d)),
-        sum(compress(bits, in_a)),
-        [sum(map(bits.__getitem__, comp)) for comp in comps],
-    )
+    return order, sub, matching._maximum_matching_indices(sub)
+
+
+def decompose_mask(adj, live: int, matched=None):
+    """``decompose`` of the vertex mask ``live`` of an interned graph with
+    neighbour masks ``adj``.
+
+    ``matched`` is ``mask_matching(adj, live)``, computed here when not
+    given.  Returns ``(d, a, comps)`` as masks: ``d``, the outer vertices of
+    the forest grown from that matching's exposed vertices; ``a``, the
+    neighbours of ``d`` in ``live`` outside it; and the components of the
+    subgraph on ``d``, each flood-filled from its lowest bit, lowest first,
+    which is the order ``decompose`` lists them in.  ``c`` is
+    ``live & ~(d | a)``.
+    """
+    order, sub, match = mask_matching(adj, live) if matched is None else matched
+    d = 0
+    for i in matching._outer(sub, match):
+        d |= 1 << order[i]
+    hood = 0
+    comps = []
+    rest = d
+    while rest:
+        comp = todo = rest & -rest
+        rest ^= comp
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            near = adj[low.bit_length() - 1]
+            hood |= near
+            grow = near & rest
+            rest ^= grow
+            comp |= grow
+            todo |= grow
+        comps.append(comp)
+    return d, hood & live & ~d, comps
 
 
 def _partition(adj):

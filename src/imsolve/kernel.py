@@ -17,13 +17,16 @@ as applying one rule at a time and rescanning after each.  Only the
 pendant-triangle step can create new features, which the next round picks
 up; a round without one is the last.
 
-Only the first round scans the whole graph.  Deleting the apex of a
-pendant triangle changes only its neighbours' degrees, so each feature it
-creates or changes contains one of those neighbours: an isolated vertex,
-an isolated edge, or a pendant triangle that is new or became isolated,
-which has a neighbour of degree 2.  Later rounds therefore look only at
-those neighbours and keep the other pendant triangles waiting in a heap
-in the scan's order.
+Only the first round scans, and at most the whole graph.  Deleting the
+apex of a pendant triangle changes only its neighbours' degrees, so each
+feature it creates or changes contains one of those neighbours: an
+isolated vertex, an isolated edge, or a pendant triangle that is new or
+became isolated, which has a neighbour of degree 2.  Later rounds
+therefore look only at those neighbours and keep the other pendant
+triangles waiting in a heap in the scan's order.  The same argument lets
+the search's children skip most of the first scan: a child is a reduced
+mask minus a deletion mask, so its first round scans only the deleted
+vertices' neighbours, and reads any other degree it needs on demand.
 
 The rules run on an interned graph (``graph.Interned``): ``reduce_mask``
 takes a vertex set as one int mask and works on indices, whose order is
@@ -113,25 +116,26 @@ def reduce_mask(
     order is label order, so an index is its vertex's rank.
 
     The first round scans the vertices of ``changed``, by default all of
-    ``live``.  Without ``pendant_triangles``, a caller whose ``live`` is a
-    reduced mask minus some vertices may pass their neighbours in ``live``
-    instead: no other vertex's degree changed, so a feature without one of
-    them was a feature of the reduced mask already.  (The pendant-triangle
-    rule reads the degrees that the whole scan finds.)  Each later round
+    ``live``.  A caller whose ``live`` is a reduced mask minus a deletion
+    mask may pass the deleted vertices' neighbours in ``live`` instead: a
+    feature of ``live`` that holds none of them was a feature of the reduced
+    mask already.  For a pendant triangle, one of its two vertices of
+    degree 2 is such a neighbour, since a reduced mask has no pendant
+    triangle and only those neighbours lost degree.  Degrees the scan did
+    not find are read from ``adj`` on demand.  Each later round
     looks only at the live neighbours of the apex that the last
     pendant-triangle step deleted (see the module docstring), with their
-    degrees kept up to date, while the scan's other pendant triangles wait
-    in a heap of ``(v, u, w)`` triples, the scan's order, each checked again
-    when it reaches the top.  So every round takes the steps a fresh scan
-    of the whole graph would.
+    degrees read again, while the scan's other pendant triangles wait in a
+    heap of ``(v, u, w)`` triples, the scan's order, each checked again when
+    it reaches the top.  So every round takes the steps a fresh scan of the
+    whole graph would.
     """
     if changed is None:
         changed = live
-    elif pendant_triangles:
-        raise ValueError("a partial first scan leaves degrees unknown")
     steps = []
     harvested = []
-    # Live degrees; a vertex deleted by the reduction reads 0 or 1.
+    # Live degrees known so far, -1 if not read yet; a vertex deleted by the
+    # reduction reads at most 1.
     deg, isolated, iso_edges, heap = _scan(adj, live, pendant_triangles, changed)
     while True:
         for v in isolated:
@@ -158,11 +162,16 @@ def reduce_mask(
         edges = set()
         for y in touched:
             d = deg[y]
+            if d < 0:
+                # Not read yet, so read now.
+                d = deg[y] = (adj[y] & live).bit_count()
             if d == 0:
                 isolated.append(y)
             elif d == 1:
                 z = (adj[y] & live).bit_length() - 1
-                if deg[z] == 1:
+                # z's degree is 1, read from adj if not known.
+                dz = deg[z]
+                if dz == 1 or (dz < 0 and adj[z] & live == 1 << y):
                     edges.add((y, z) if y < z else (z, y))
             elif d == 2 and (triangle := _pendant(adj, live, deg, y)):
                 heappush(heap, triangle)
@@ -179,14 +188,13 @@ def _scan(adj, live: int, pendant_triangles: bool, changed: int):
     Returns what ``Graph.local_features`` reports, over indices: the
     isolated vertices, the isolated edges as ``(x, u)`` with ``x < u``, and,
     with ``pendant_triangles``, the pendant triangles as ``(v, u, w)``, apex
-    first; each list sorted, so the last one is a heap.  First, though, it
-    returns the degrees by index that the pendant-triangle steps keep up to
-    date: the live degree of each vertex of ``live``, or None without
-    ``pendant_triangles``.  Those degrees come from the scan, so with
-    ``pendant_triangles`` it scans all of ``live``, and ``changed`` must be
-    ``live``.
+    first; each list sorted, so the last one is a heap.  A pendant triangle
+    counts when one of its vertices of degree 2 is in ``changed``.  First,
+    though, it returns the degrees by index that the pendant-triangle steps
+    keep up to date: the live degree of each vertex of ``changed``, -1 for
+    the others, or None without ``pendant_triangles``.
     """
-    deg = [0] * len(adj) if pendant_triangles else None
+    deg = [-1] * len(adj) if pendant_triangles else None
     isolated = []
     iso_edges = []
     twos = []
@@ -216,9 +224,16 @@ def _scan(adj, live: int, pendant_triangles: bool, changed: int):
     pendants = []
     for x in twos:
         triangle = _pendant(adj, live, deg, x)
-        # Reported once, from its smallest vertex of degree 2: the apex of
-        # an isolated triangle, else u.
-        if triangle and x == (triangle[0] if deg[triangle[0]] == 2 else triangle[1]):
+        if not triangle:
+            continue
+        # Found from each of its scanned vertices of degree 2, and reported
+        # from the smallest: on a whole scan, the apex of an isolated
+        # triangle, else u.
+        v, u, w = triangle
+        first, second = (v, u) if deg[v] == 2 else (u, w)
+        if x == first or (
+            not changed >> first & 1 and (x == second or not changed >> second & 1)
+        ):
             pendants.append(triangle)
     pendants.sort()
     return deg, isolated, iso_edges, pendants
@@ -236,10 +251,16 @@ def _pendant(adj, live: int, deg, y: int):
     a = (nbrs ^ (1 << b)).bit_length() - 1
     if not adj[a] >> b & 1:
         return None  # y's two neighbours are not adjacent
-    if deg[a] == 2 == deg[b]:
+    # Degrees not read yet are read now.
+    da, db = deg[a], deg[b]
+    if da < 0:
+        da = deg[a] = (adj[a] & live).bit_count()
+    if db < 0:
+        db = deg[b] = (adj[b] & live).bit_count()
+    if da == 2 == db:
         return tuple(sorted((y, a, b)))
-    if deg[a] == 2 or deg[b] == 2:
-        x, v = (a, b) if deg[a] == 2 else (b, a)
+    if da == 2 or db == 2:
+        x, v = (a, b) if da == 2 else (b, a)
         return (v, y, x) if y < x else (v, x, y)
     return None
 

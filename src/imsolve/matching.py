@@ -13,8 +13,9 @@ vertex over the whole graph.  All tie-breaking is by smallest label, so the
 returned matching is deterministic.
 
 Which vertices some maximum matching misses is read off one alternating
-forest (``_missable``); both the Gallai-Edmonds ``d`` set and
-factor-criticality come from it.
+forest, grown from the vertices a given maximum matching leaves exposed
+(``_outer``); both the Gallai-Edmonds ``d`` set and factor-criticality
+come from it.
 """
 
 from __future__ import annotations
@@ -172,18 +173,24 @@ def maximum_matching(g: Graph) -> frozenset:
     return frozenset((labels[i], labels[j]) for i, j in enumerate(match) if j > i)
 
 
-def _missable(adj) -> list:
+def _outer(adj, match) -> list:
     """The vertices, by index into ``adj``, that some maximum matching
-    misses.
+    misses, given one maximum matching ``match`` (the mate of each index,
+    -1 if exposed).
 
-    Given one maximum matching, those are exactly the outer vertices of the
-    alternating forest grown from all its exposed vertices at once
-    (Edmonds 1965; Lovasz and Plummer, *Matching Theory*, ch. 3).  As the
-    matching is maximum the forest never augments, so one search suffices.
+    Those are exactly the outer vertices of the alternating forest grown
+    from all of ``match``'s exposed vertices at once (Edmonds 1965; Lovasz
+    and Plummer, *Matching Theory*, ch. 3).  As the matching is maximum the
+    forest never augments, so one search suffices and ``match`` is left
+    unchanged.
     """
-    match = _maximum_matching_indices(adj)
     roots = [i for i, m in enumerate(match) if m == -1]
     return _search(adj, match, roots, *_forest(len(adj)), reset=False)
+
+
+def _missable(adj) -> list:
+    """``_outer`` of one maximum matching of ``adj``."""
+    return _outer(adj, _maximum_matching_indices(adj))
 
 
 def has_perfect_matching(g: Graph) -> bool:

@@ -17,11 +17,11 @@ One depth-first search, run on an explicit stack, has three entry points:
 * ``solve_auto``: the same search, definitive.  Every branching deletes a
   vertex, so one search at the budget ``n - 2*ell + 1`` can never be
   truncated, and its No is final.  This is the one search that prunes:
-  the Gallai-Edmonds matching bound (a node whose maximum matching is
-  below the target) and a memo of the reduced vertex sets already proven
-  No are sound No leaves once nothing truncates.  They cut only No
-  subtrees, so the first Yes leaf in preorder, and with it the
-  certificate, is the one the unpruned search finds.
+  the matching bound (a node whose maximum matching is below the target)
+  and a memo of the reduced vertex sets already proven No are sound No
+  leaves once nothing truncates.  They cut only No subtrees, so the first
+  Yes leaf in preorder, and with it the certificate, is the one the
+  unpruned search finds.
 
 * ``solve_imbtg``: the simple below-half-the-vertices algorithm, used for
   cross-validation.  Degree-based reductions only, one 3-way branching
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import PreconditionViolatedError
-from .gallai_edmonds import GEDecomposition, decompose_mask
+from .gallai_edmonds import GEDecomposition, decompose_mask, mask_matching
 from .graph import Graph, Interned, indices, lowest_two, verify_induced_matching
 from .kernel import Instance, TerminalState, _scan, node_state, reduce_mask
 
@@ -422,21 +422,26 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
     when the memo holds its reduced vertex set at a target no larger than
     its own (every node graph is an induced subgraph of the input, and a
     graph without an induced matching of size ell has none larger), or when
-    its decomposition gives ``2*mm = n - #d_components + |a| < 2*ell``;
-    otherwise that decomposition picks the rule.  A frame popped before a
-    Yes had every child searched to No, so its reduced vertex set goes into
-    the memo.  A pruned node counts as a node and traces as a No leaf.
+    its maximum matching M has ``2*|M| < 2*ell``.  By the deficiency
+    formula that is the decomposition's ``n - #d_components + |a| < 2*ell``,
+    but it needs neither the alternating forest nor the partition, so a
+    node decomposes only once it is known to branch, and the decomposition
+    picks the rule.  A frame popped before a Yes had every child searched
+    to No, so its reduced vertex set goes into the memo.  A pruned node
+    counts as a node and traces as a No leaf.
 
     The input is interned once (``graph.Interned``), and a node is the int
     mask of its vertices: a child is its parent's reduced mask minus a
     deletion mask, ``reduce_mask`` reduces it, the terminal test counts its
     bits, the memo is keyed on it, and the naive rule reads its branch off
-    it.  A naive child is a reduced mask minus one vertex, so its reduction
-    scans only that vertex's neighbours.  A paper-engine node that passes
-    the memo test is decided on its mask too: ``decompose_mask`` gives its
-    ``d``, ``a`` and D-components as masks, which give the matching bound,
-    and ``_choose`` and ``_children`` (``choose_rule`` and ``expand`` on
-    masks) give the rule, its actors as indices and the deletion masks.  No
+    it.  The root's reduction scans the whole input; a child's scans only
+    the deleted vertices' neighbours, as its parent was reduced.  A
+    paper-engine node that passes the memo test is decided on its mask
+    too: ``mask_matching`` gives its index adjacency and maximum matching,
+    which give the bound; ``decompose_mask`` grows the forest from that
+    matching and gives ``d``, ``a`` and the D-components as masks; and
+    ``_choose`` and ``_children`` (``choose_rule`` and ``expand`` on masks)
+    give the rule, its actors as indices and the deletion masks.  No
     ``Graph`` is built; labels appear only in trace records, and harvested
     edges are index pairs until a Yes maps them to labels.
 
@@ -470,10 +475,14 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
         deleted = pending.pop()
         child = parent & ~deleted
         changed = None
-        if naive and deleted:
-            # The parent is reduced, so only the deleted vertex's neighbours
-            # can be part of a feature of the child.
-            changed = adj[deleted.bit_length() - 1] & child
+        if deleted:
+            # The parent is reduced, so every feature of the child holds a
+            # neighbour of the deleted vertices (see ``reduce_mask``).
+            near = adj[deleted.bit_length() - 1]
+            if deleted & (deleted - 1):
+                for v in indices(deleted):
+                    near |= adj[v]
+            changed = near & child
         live, ell, got, steps = reduce_mask(adj, child, target, not naive, changed)
         stats.nodes_visited += 1
         if depth > stats.max_depth:
@@ -495,11 +504,13 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
                 stats.memo_hits += 1
                 state = TerminalState.NO
             else:
-                d, a, comps = decompose_mask(adj, live)
-                if prune and n - len(comps) + a.bit_count() < 2 * ell:
+                matched = mask_matching(adj, live)
+                # Twice the matching number is n minus the exposed vertices.
+                if prune and n - matched[2].count(-1) < 2 * ell:
                     stats.bound_prunes += 1
                     state = TerminalState.NO
                 else:
+                    d, a, comps = decompose_mask(adj, live, matched)
                     rule, actors = _choose(adj, live, a, live & ~(d | a), comps)
                     name = rule.value
                     children = _children(adj, live, rule, actors)[::-1]

@@ -55,6 +55,12 @@ def random_graphs(count, max_n=9, seed0=0, min_n=1):
     return out
 
 
+def mixed_labels(g, rng):
+    """``g`` with about half its vertices renamed to strs."""
+    name = {v: v if rng.random() < 0.5 else f"v{v}" for v in g.vertices}
+    return im.Graph.build(name.values(), [(name[a], name[b]) for a, b in g.edges()])
+
+
 def random_bipartite(count, max_side=5, seed0=0):
     rng = random.Random(seed0)
     out = []

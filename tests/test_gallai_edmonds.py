@@ -4,9 +4,25 @@ import re
 from itertools import chain, combinations
 
 import imsolve as im
-from imsolve.gallai_edmonds import GEDecomposition, audit, decompose
+from imsolve import solver
+from imsolve.gallai_edmonds import (
+    GEDecomposition,
+    audit,
+    decompose,
+    decompose_mask,
+    mask_matching,
+)
+from imsolve.graph import Interned
 
-from conftest import all_labeled_graphs, build, complete, cycle, random_graphs, star
+from conftest import (
+    all_labeled_graphs,
+    build,
+    complete,
+    cycle,
+    mixed_labels,
+    random_graphs,
+    star,
+)
 
 
 def test_star_decomposition():
@@ -84,6 +100,44 @@ def test_deficiency_formula_gives_the_matching_number():
     for g in chain(all_labeled_graphs(6), random_graphs(1000, max_n=12, seed0=29)):
         dec = decompose(g)
         assert 2 * im.brute_mm(g) == g.vertex_count - len(dec.d_components) + len(dec.a)
+
+
+def test_decompose_mask_agrees_with_decompose(monkeypatch):
+    # The search decomposes a node on masks: d from the forest of the
+    # node's own matching, a and the components by a flood fill.  That must
+    # be decompose of the induced subgraph, components in the same order,
+    # and the bound the search reads off the matching alone must be the
+    # deficiency formula's 2*mm = n - #components + |a|, so both give the
+    # same verdict at every ell.  Checked on random masks and on every
+    # reduced mask solve_auto decomposes or bounds.
+    visited = []
+    record = solver.mask_matching
+
+    def recorded(adj, live):
+        visited.append(live)
+        return record(adj, live)
+
+    monkeypatch.setattr(solver, "mask_matching", recorded)
+    rng = random.Random(107)
+    nodes = 0
+    for g in random_graphs(160, max_n=14, seed0=109):
+        g = mixed_labels(g, rng)
+        bits = Interned(g)
+        n = len(bits.labels)
+        visited.clear()
+        for ell in (2, 3):
+            solver.solve_auto(im.Instance(g, ell))
+        nodes += len(visited)
+        for live in visited + [rng.getrandbits(n) for _ in range(4)] + [bits.full]:
+            d, a, comps = decompose_mask(bits.adj, live)
+            dec = decompose(g.induced(bits.labels_of(live)))
+            assert d == bits.mask_of(dec.d)
+            assert a == bits.mask_of(dec.a)
+            assert comps == list(map(bits.mask_of, dec.d_components))
+            _, _, match = mask_matching(bits.adj, live)
+            size = live.bit_count()
+            assert size - match.count(-1) == size - len(comps) + a.bit_count()
+    assert nodes > 1000
 
 
 def test_audit_passes_exhaustively_small():

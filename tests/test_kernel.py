@@ -17,7 +17,7 @@ from imsolve.kernel import (
     terminal_state,
 )
 
-from conftest import all_labeled_graphs, build, cycle, random_graphs
+from conftest import all_labeled_graphs, build, cycle, mixed_labels, random_graphs
 
 
 def test_instance_rejects_negative_target():
@@ -157,12 +157,6 @@ def one_rule_per_scan(inst, pendant_triangles):
             return Instance(g, ell), frozenset(harvested), tuple(steps)
 
 
-def mixed_labels(g, rng):
-    """``g`` with about half its vertices renamed to strs."""
-    name = {v: v if rng.random() < 0.5 else f"v{v}" for v in g.vertices}
-    return im.Graph.build(name.values(), [(name[a], name[b]) for a, b in g.edges()])
-
-
 def triangle_chains(count, seed):
     """Disjoint triangles joined by random edges between some of their
     vertices, labelled by a shuffled mix of ints and strs.  Deleting one
@@ -239,10 +233,27 @@ def test_one_scan_and_at_most_one_rebuild_per_reduction(monkeypatch):
     assert chains > 500
 
 
+def _deletions(adj, parent):
+    """Every deletion mask of the forms the search's children take on the
+    mask ``parent``: one vertex, two vertices, and the outside neighbourhood
+    of an adjacent pair."""
+    vertices = indices(parent)
+    out = [1 << x for x in vertices]
+    for x, y in combinations(vertices, 2):
+        pair = 1 << x | 1 << y
+        out.append(pair)
+        if adj[x] >> y & 1 and (hood := (adj[x] | adj[y]) & parent & ~pair):
+            out.append(hood)
+    return out
+
+
 def test_scan_of_a_deleted_vertex_neighbours_finds_every_feature():
-    # Without pendant triangles, a reduced mask minus one vertex has every
-    # feature among that vertex's neighbours, so the naive search scans only
-    # those and still takes the steps of a whole scan.
+    # A reduced mask minus a deletion mask has every feature at a neighbour
+    # of the deleted vertices, so the search's children scan only those and
+    # still take the steps of a whole scan: in steps, harvest, mask and
+    # target.  Without pendant triangles the naive search deletes one
+    # vertex; with them, on random masks reduced first, every child the
+    # paper's rules can name.
     rng = random.Random(79)
     graphs = random_graphs(150, max_n=12, seed0=83)
     graphs += [mixed_labels(g, rng) for g in random_graphs(60, max_n=12, seed0=89)]
@@ -259,8 +270,27 @@ def test_scan_of_a_deleted_vertex_neighbours_finds_every_feature():
                 )
                 partial += changed != child
     assert partial > 1000
-    with pytest.raises(ValueError):
-        reduce_mask(bits.adj, bits.full, 0, True, 0)
+    cw = [im.generate("cw:u=2,w=3,p=0.4,nu=1,nw=1-2,tight", seed=s) for s in range(10)]
+    cw += [im.generate("cw:u=4,w=4,nu=1,nw=1-3,tight", seed=s) for s in range(5)]
+    pendant = 0
+    for g in graphs[::3] + cw + triangle_chains(150, 97):
+        bits = Interned(g)
+        n = len(bits.labels)
+        # The whole vertex set, then masks that keep each vertex with
+        # probability 3/4.
+        starts = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(5)]
+        for start in [bits.full] + starts:
+            ell = rng.randint(0, 3)
+            parent, _, _, _ = reduce_mask(bits.adj, start, ell, True)
+            for deleted in _deletions(bits.adj, parent):
+                child = parent & ~deleted
+                near = 0
+                for x in indices(deleted):
+                    near |= bits.adj[x]
+                seeded = reduce_mask(bits.adj, child, ell, True, near & child)
+                assert seeded == reduce_mask(bits.adj, child, ell, True)
+                pendant += any(step[0] == RULE_PENDANT_TRIANGLE for step in seeded[3])
+    assert pendant > 500
 
 
 def test_terminal_state_order():

@@ -860,3 +860,46 @@ def test_disjoint_union_of_int_and_str_labelled_graphs():
             assert len(yes.certificate) == best
             assert im.verify_induced_matching(union, yes.certificate)
             assert solve(Instance(union, best + 1)).answer is Answer.NO
+
+
+def sparse_gnm(n, seed):
+    """Seeded G(n, m) on 1..n with m = round(0.8 n): sparse enough that
+    solve_auto decides it in milliseconds at n up to 60."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    return im.Graph.build(range(1, n + 1), random.Random(seed).sample(pairs, round(0.8 * n)))
+
+
+def test_metamorphic_relations_past_the_oracle_cap():
+    # No oracle reaches n 30-60, but the answers must still fit together:
+    # yes up to some ell and no from there on, each yes with a verified
+    # certificate; the same answers after relabelling the vertices at
+    # random to mixed int and str labels; and, at n = 30, the answer and
+    # certificate of the unpruned solve_imba at the exhaustive budget.
+    rng = random.Random(113)
+    for n in range(30, 61, 6):
+        for seed in (1, 2):
+            g = sparse_gnm(n, 100 * n + seed)
+            ell = 1
+            while (res := solve_auto(Instance(g, ell))).answer is Answer.YES:
+                assert len(res.certificate) == ell
+                assert im.verify_induced_matching(g, res.certificate)
+                ell += 1
+            best = ell - 1
+            assert best >= 6
+            assert solve_auto(Instance(g, best + 2)).answer is Answer.NO
+            shuffled = list(g.vertices)
+            rng.shuffle(shuffled)
+            name = {
+                v: x if rng.random() < 0.5 else f"v{x}" for v, x in zip(g.vertices, shuffled)
+            }
+            h = relabelled(g, name.__getitem__)
+            yes = solve_auto(Instance(h, best))
+            assert yes.answer is Answer.YES
+            assert im.verify_induced_matching(h, yes.certificate)
+            assert solve_auto(Instance(h, best + 1)).answer is Answer.NO
+            if n == 30:
+                for target in (best, best + 1):
+                    inst = Instance(g, target)
+                    auto = solve_auto(inst)
+                    fixed = solve_imba(inst, n - 2 * target + 1)
+                    assert (auto.answer, auto.certificate) == (fixed.answer, fixed.certificate)
