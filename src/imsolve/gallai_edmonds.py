@@ -20,6 +20,15 @@ matching of it, which is all the search's matching bound reads.
 that branches, and finds ``a`` and the components of ``d`` with mask
 operations on the neighbour masks.
 
+The two paths stay apart because each is the faster one on its own
+inputs.  Routing ``decompose`` through ``graph.Interned`` and the mask
+functions made it about 2x slower on 60 sparse G(n, c/n) graphs with n
+from 400 to 1,600: 0.09 to 0.18 s in all for the decompositions and 0.06
+to 0.12 s for the maximum matchings.  Running the
+list ``_partition`` at search nodes instead made ``decompose_mask`` about
+1.5x slower: 6-7 to 9-11 us per call over 1,807 nodes of dominating-set
+reductions and small G(n, m) instances (Python 3.11, 2 cores).
+
 ``audit`` re-derives the classical structural guarantees of the
 decomposition (factor-critical components, perfectly matched remainder,
 strict surplus of the contracted bipartite graph, and the shape of a
@@ -87,19 +96,18 @@ def mask_matching(adj, live: int):
     return order, sub, matching._maximum_matching_indices(sub)
 
 
-def decompose_mask(adj, live: int, matched=None):
+def decompose_mask(adj, live: int, matched):
     """``decompose`` of the vertex mask ``live`` of an interned graph with
     neighbour masks ``adj``.
 
-    ``matched`` is ``mask_matching(adj, live)``, computed here when not
-    given.  Returns ``(d, a, comps)`` as masks: ``d``, the outer vertices of
-    the forest grown from that matching's exposed vertices; ``a``, the
-    neighbours of ``d`` in ``live`` outside it; and the components of the
-    subgraph on ``d``, each flood-filled from its lowest bit, lowest first,
-    which is the order ``decompose`` lists them in.  ``c`` is
-    ``live & ~(d | a)``.
+    ``matched`` is ``mask_matching(adj, live)``.  Returns ``(d, a, comps)``
+    as masks: ``d``, the outer vertices of the forest grown from that
+    matching's exposed vertices; ``a``, the neighbours of ``d`` in ``live``
+    outside it; and the components of the subgraph on ``d``, each
+    flood-filled from its lowest bit, lowest first, which is the order
+    ``decompose`` lists them in.  ``c`` is ``live & ~(d | a)``.
     """
-    order, sub, match = mask_matching(adj, live) if matched is None else matched
+    order, sub, match = matched
     d = 0
     for i in matching._outer(sub, match):
         d |= 1 << order[i]

@@ -202,8 +202,14 @@ class Graph:
         Degrees are taken in the whole graph.  A triangle with all three
         degrees equal to 2 (an isolated triangle) is reported with its
         smallest vertex as ``v``, the one the reduction deletes.  Each
-        triangle is reported once, from its smallest degree-2 vertex.  The
-        kernel finds the same features on masks with a scan of its own.
+        triangle is reported once, from its smallest degree-2 vertex.
+
+        The kernel finds the same features on masks with a scan of its own
+        (``kernel._scan``).  This one stays a separate, label-level scan
+        because the tests check the kernel against it, so it must not share
+        the kernel's code.  Written as a call to ``kernel._scan`` it also
+        took 12-17 ms instead of 3 ms on a 2,080-vertex tight ``cw`` graph,
+        almost all of it interning (Python 3.11, 2 cores).
         """
         adj = self._adj
         isolated = []

@@ -3,14 +3,15 @@
 A greedy pass matches what it can, then one alternating-forest search
 (Edmonds' augmenting-path search with blossom shrinking) runs from each
 vertex the greedy pass left exposed.  A search costs what it touches: the
-forest's per-vertex arrays are allocated once per matching and a search
-resets only the vertices it reached, and a blossom is contracted over the
-members of the bases on it (sorted by index, O(k log k) for k members), not
-by a scan of every vertex.  So a search that stays inside a small component
-costs the size of that component, and k disjoint odd components cost time
-near-linear in n, not k times n.  The worst case is still a search per
-vertex over the whole graph.  All tie-breaking is by smallest label, so the
-returned matching is deterministic.
+forest's per-vertex arrays are allocated at most once per matching, when
+the first search starts, and a search resets only the vertices it
+reached.  A blossom is contracted over the members of the bases on it
+(sorted by index, O(k log k) for k members), not by a scan of every
+vertex.  So a search that stays inside a small component costs the size of
+that component, and k disjoint odd components cost time near-linear in n,
+not k times n.  The worst case is still a search per vertex over the whole
+graph.  All tie-breaking is by smallest label, so the returned matching is
+deterministic.
 
 Which vertices some maximum matching misses is read off one alternating
 forest, grown from the vertices a given maximum matching leaves exposed
@@ -156,10 +157,12 @@ def _maximum_matching_indices(adj):
                     match[v] = u
                     match[u] = v
                     break
-    forest = _forest(n)
+    forest = None
     for v in range(n):
         # A vertex without neighbours stays exposed in every matching.
         if match[v] == -1 and adj[v]:
+            if forest is None:
+                forest = _forest(n)
             _search(adj, match, [v], *forest)
     return match
 

@@ -434,15 +434,15 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
     mask of its vertices: a child is its parent's reduced mask minus a
     deletion mask, ``reduce_mask`` reduces it, the terminal test counts its
     bits, the memo is keyed on it, and the naive rule reads its branch off
-    it.  The root's reduction scans the whole input; a child's scans only
-    the deleted vertices' neighbours, as its parent was reduced.  A
-    paper-engine node that passes the memo test is decided on its mask
-    too: ``mask_matching`` gives its index adjacency and maximum matching,
-    which give the bound; ``decompose_mask`` grows the forest from that
-    matching and gives ``d``, ``a`` and the D-components as masks; and
-    ``_choose`` and ``_children`` (``choose_rule`` and ``expand`` on masks)
-    give the rule, its actors as indices and the deletion masks.  No
-    ``Graph`` is built; labels appear only in trace records, and harvested
+    it.  The root's reduction scans the whole input; a child's is given
+    the deletion mask and scans only the deleted vertices' neighbours, as
+    its parent was reduced.  A paper-engine node that passes the memo test
+    is decided on its mask too: ``mask_matching`` gives its index adjacency
+    and maximum matching, which give the bound; ``decompose_mask`` grows
+    the forest from that matching and gives ``d``, ``a`` and the
+    D-components as masks; and ``_choose`` and ``_children``
+    (``choose_rule`` and ``expand`` on masks) give the rule, its actors as
+    indices and the deletion masks.  No ``Graph`` is built; labels appear only in trace records, and harvested
     edges are index pairs until a Yes maps them to labels.
 
     The path from the root is an explicit stack, so the depth is bounded by
@@ -473,17 +473,10 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
             continue
         depth = len(stack) - 1
         deleted = pending.pop()
-        child = parent & ~deleted
-        changed = None
-        if deleted:
-            # The parent is reduced, so every feature of the child holds a
-            # neighbour of the deleted vertices (see ``reduce_mask``).
-            near = adj[deleted.bit_length() - 1]
-            if deleted & (deleted - 1):
-                for v in indices(deleted):
-                    near |= adj[v]
-            changed = near & child
-        live, ell, got, steps = reduce_mask(adj, child, target, not naive, changed)
+        # The root frame's deletion is 0 and the root is not reduced yet.
+        live, ell, got, steps = reduce_mask(
+            adj, parent & ~deleted, target, not naive, deleted or None
+        )
         stats.nodes_visited += 1
         if depth > stats.max_depth:
             stats.max_depth = depth

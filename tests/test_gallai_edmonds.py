@@ -129,12 +129,13 @@ def test_decompose_mask_agrees_with_decompose(monkeypatch):
             solver.solve_auto(im.Instance(g, ell))
         nodes += len(visited)
         for live in visited + [rng.getrandbits(n) for _ in range(4)] + [bits.full]:
-            d, a, comps = decompose_mask(bits.adj, live)
+            matched = mask_matching(bits.adj, live)
+            d, a, comps = decompose_mask(bits.adj, live, matched)
             dec = decompose(g.induced(bits.labels_of(live)))
             assert d == bits.mask_of(dec.d)
             assert a == bits.mask_of(dec.a)
             assert comps == list(map(bits.mask_of, dec.d_components))
-            _, _, match = mask_matching(bits.adj, live)
+            match = matched[2]
             size = live.bit_count()
             assert size - match.count(-1) == size - len(comps) + a.bit_count()
     assert nodes > 1000

@@ -128,6 +128,25 @@ def test_no_forest_is_grown_from_an_isolated_vertex(monkeypatch):
     assert calls == 1
 
 
+def test_forest_arrays_are_allocated_only_for_a_search(monkeypatch):
+    # On the 1,200-vertex path at ell = 1 the search branches at 599 nodes,
+    # each a path on an even number of vertices that the greedy pass
+    # matches completely.  So a node's matching allocates no forest, and
+    # only the forest the decomposition reads d from does.
+    calls = 0
+    forest = matching._forest
+
+    def counting(n):
+        nonlocal calls
+        calls += 1
+        return forest(n)
+
+    monkeypatch.setattr(matching, "_forest", counting)
+    result = im.solve_auto(im.Instance(path(1200), 1))
+    assert result.answer is im.Answer.YES
+    assert calls == 599
+
+
 def _golden_graphs():
     """Seeded sparse G(n, c/n) up to n = 600, 300 disjoint triangles plus a
     C_5, and 200 small G(n, p) whose labels mix ints and strings."""
