@@ -14,9 +14,7 @@ from .errors import IMSolveError
 from .gallai_edmonds import AuditReport, GEDecomposition, audit, decompose
 from .graph import Graph, LocalFeatures, edge, verify_induced_matching
 from .instances import (
-    CWSpec,
     anchored_triangle,
-    gen_cameron_walker,
     gen_random,
     generate,
     naive_branch_trap,
@@ -27,13 +25,7 @@ from .instances import (
     triangle_star_graph,
     write_instance,
 )
-from .kernel import (
-    Instance,
-    ReductionStep,
-    TerminalState,
-    reduce_instance,
-    terminal_state,
-)
+from .kernel import Instance, ReductionStep, TerminalState, reduce_instance
 from .matching import (
     is_factor_critical,
     maximum_matching,
@@ -72,7 +64,6 @@ __all__ = [
     "Answer",
     "AuditReport",
     "BranchChoice",
-    "CWSpec",
     "GEDecomposition",
     "Graph",
     "IMSolveError",
@@ -99,7 +90,6 @@ __all__ = [
     "expand",
     "find_degree2_survivor",
     "find_path4",
-    "gen_cameron_walker",
     "gen_random",
     "generate",
     "is_factor_critical",
@@ -116,7 +106,6 @@ __all__ = [
     "solve_auto",
     "solve_imba",
     "solve_imbtg",
-    "terminal_state",
     "triangle_star_graph",
     "verify_induced_matching",
     "write_instance",

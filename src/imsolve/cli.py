@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    imsolve solve instance.im [--budget N | --auto | --oracle-k] [--json]
+    imsolve solve instance.im [--budget N | --oracle-k] [--json]
     imsolve solve-tg instance.im
     imsolve oracle instance.im [--ell N]
     imsolve decompose instance.im
@@ -71,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--budget", type=int,
                       help="fixed branching budget; exhausted runs exit 3")
-    mode.add_argument("--auto", action="store_true",
-                      help="one exhaustive search, always definitive (default)")
     mode.add_argument("--oracle-k", action="store_true",
                       help="budget from the oracle parameters (small inputs)")
     p.add_argument("--trace", help="write one JSON line per search node here")

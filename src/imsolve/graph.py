@@ -23,12 +23,15 @@ from typing import Hashable, Iterable, NamedTuple
 from .errors import (
     DuplicateEdgeError,
     SelfLoopError,
+    TooLargeError,
     UnknownEndpointError,
     UnknownVertexError,
 )
 
 Label = Hashable
 Edge = tuple
+
+MAX_INTERNED_VERTICES = 1 << 15
 
 
 def label_key(label):
@@ -282,12 +285,18 @@ class Interned:
     ``labels[i]`` is the vertex of bit ``1 << i``, ``adj[i]`` the mask of
     its neighbours and ``full`` the mask of all vertices.  A vertex set is
     then one int, and the induced subgraph on a mask is ``adj[i] & mask``
-    for each of its bits.
+    for each of its bits.  The bits alone take about n * n / 16 bytes, so a
+    graph past ``MAX_INTERNED_VERTICES`` raises TooLargeError at once.
     """
 
     __slots__ = ("labels", "bit", "adj", "full")
 
     def __init__(self, graph: Graph):
+        if graph.vertex_count > MAX_INTERNED_VERTICES:
+            raise TooLargeError(
+                f"{graph.vertex_count} vertices exceeds the interning cap "
+                f"({MAX_INTERNED_VERTICES})"
+            )
         self.labels = graph.vertices
         self.bit = bit = {v: 1 << i for i, v in enumerate(self.labels)}
         # The bits of distinct neighbours are distinct powers of two, so

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     NotACliqueError,
     ParseError,
 )
-from .graph import Graph, label_key, sort_labels
+from .graph import Graph, sort_labels
 from .kernel import Instance
 
 MAX_VERTICES = 1_000_000
@@ -189,102 +188,6 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
     return Graph.build(labels, edges)
 
 
-@dataclass(frozen=True)
-class CWSpec:
-    """Recipe for a graph whose matching number equals its induced matching
-    number, built from a connected bipartite core.
-
-    ``pendant_counts`` gives, per vertex of ``u_side``, how many pendant
-    vertices to attach (at least 1); ``triangle_counts`` gives, per vertex
-    of ``w_side``, how many pendant triangles (at least 0).  Counts may be
-    ``(lo, hi)`` ranges, sampled with the generator seed.  With ``tight``
-    the pendant counts are forced to exactly 1 and every ``w_side`` vertex
-    must get at least one triangle, which pins all three invariants
-    (matching, independence, induced matching) to the same value.
-
-    One side may be empty when the core is a single vertex (degenerate
-    star or triangle-star recipes).
-    """
-
-    u_side: tuple = ()
-    w_side: tuple = ()
-    core_edges: tuple = ()
-    pendant_counts: dict = field(default_factory=dict)
-    triangle_counts: dict = field(default_factory=dict)
-    tight: bool = False
-
-
-def _resolve_count(value, rng):
-    if isinstance(value, tuple):
-        lo, hi = value
-        if lo > hi:
-            raise InvalidSpecError(f"empty count range {value}")
-        return rng.randint(lo, hi)
-    return int(value)
-
-
-def gen_cameron_walker(spec: CWSpec, seed: int = 0) -> Graph:
-    """Build a graph from a CWSpec; raises InvalidSpecError on a bad recipe."""
-    rng = random.Random(seed)
-    u_side = tuple(spec.u_side)
-    w_side = tuple(spec.w_side)
-    if set(u_side) & set(w_side):
-        raise InvalidSpecError("core sides overlap")
-    core_vertices = set(u_side) | set(w_side)
-    if not core_vertices:
-        raise InvalidSpecError("the core must have at least one vertex")
-    for u, w in spec.core_edges:
-        across = (u in u_side and w in w_side) or (u in w_side and w in u_side)
-        if not across:
-            raise InvalidSpecError(f"core edge {(u, w)!r} does not join the sides")
-    core = Graph.build(core_vertices, spec.core_edges)
-    if len(core.connected_components()) != 1:
-        raise InvalidSpecError("the core must be connected")
-    if not set(spec.pendant_counts) <= set(u_side):
-        raise InvalidSpecError("pendant counts must target the pendant side")
-    if not set(spec.triangle_counts) <= set(w_side):
-        raise InvalidSpecError("triangle counts must target the triangle side")
-
-    labels = list(core_vertices)
-    taken = set(labels)
-
-    def fresh(label):
-        if label in taken:
-            raise InvalidSpecError(
-                f"generated label {label!r} collides with a core vertex"
-            )
-        taken.add(label)
-        labels.append(label)
-        return label
-
-    edges = list(spec.core_edges)
-    for u in sort_labels(u_side):
-        count = _resolve_count(spec.pendant_counts.get(u, 1), rng)
-        if count < 1:
-            raise InvalidSpecError(f"{u!r} needs at least one pendant vertex")
-        if spec.tight and count != 1:
-            raise InvalidSpecError(
-                f"tight recipes attach exactly one pendant vertex, got "
-                f"{count} at {u!r}"
-            )
-        for i in range(1, count + 1):
-            edges.append((u, fresh(f"{u}_p{i}")))
-    for w in sort_labels(w_side):
-        count = _resolve_count(spec.triangle_counts.get(w, 0), rng)
-        if count < 0:
-            raise InvalidSpecError(f"negative triangle count at {w!r}")
-        if spec.tight and count < 1:
-            raise InvalidSpecError(
-                f"tight recipes attach at least one pendant triangle, got "
-                f"{count} at {w!r}"
-            )
-        for i in range(1, count + 1):
-            ta = fresh(f"{w}_t{i}a")
-            tb = fresh(f"{w}_t{i}b")
-            edges += [(w, ta), (w, tb), (ta, tb)]
-    return Graph.build(labels, edges)
-
-
 # Per generator kind: the keys it takes and the flags it takes.
 _SPEC_KEYS = {
     "random": (("n", "p"), ()),
@@ -382,42 +285,72 @@ def _parse_count_range(key: str, text: str):
     return int(text)
 
 
+def _resolve_count(value, rng):
+    if isinstance(value, tuple):
+        lo, hi = value
+        if lo > hi:
+            raise InvalidSpecError(f"empty count range {value}")
+        return rng.randint(lo, hi)
+    return value
+
+
 def generate(spec_text: str, seed: int = 0) -> Graph:
-    """Generate a graph from a declarative spec string, deterministically."""
+    """Generate a graph from a declarative spec string, deterministically.
+
+    A ``cw`` spec (see ``parse_generator_spec``) gives a Cameron-Walker
+    graph, with matching number = induced matching number: pendant vertices
+    ``<u>_p<i>`` on the core's u side, pendant triangles ``<w>_t<i>a``,
+    ``<w>_t<i>b`` on its w side.  ``tight`` takes one pendant per u and a
+    triangle or more per w, so the independence number is equal too.  One
+    generator samples the cross edges; a second, seeded from the first,
+    draws the counts, the u side first, each side in label order.
+    """
     kind, opts = parse_generator_spec(spec_text)
     if kind == "random":
         return gen_random(opts["n"], opts["p"], seed)
-    rng = random.Random(seed)
     num_u, num_w = opts["u"], opts["w"]
-    u_side = tuple(f"u{i}" for i in range(1, num_u + 1))
-    w_side = tuple(f"w{i}" for i in range(1, num_w + 1))
-    edges = set()
     k = min(num_u, num_w)
-    # Deterministic backbone keeps the sampled core connected at any p.
-    # With one empty side the core must be a single vertex; the recipe
-    # validation below rejects anything larger.
-    if k > 0:
-        for i in range(k):
-            edges.add((u_side[i], w_side[i]))
-        for i in range(k - 1):
-            edges.add((u_side[i + 1], w_side[i]))
-        for j in range(k, num_u):
-            edges.add((u_side[j], w_side[k - 1]))
-        for j in range(k, num_w):
-            edges.add((u_side[k - 1], w_side[j]))
+    if num_u + num_w == 0:
+        raise InvalidSpecError("the core must have at least one vertex")
+    if k == 0 and num_u + num_w > 1:
+        raise InvalidSpecError("the core must be connected")
+    rng = random.Random(seed)
+    u_side = [f"u{i}" for i in range(1, num_u + 1)]
+    w_side = [f"w{i}" for i in range(1, num_w + 1)]
+    edges = set()
+    if k:
+        # A deterministic backbone keeps the core connected at any p: the
+        # path u1 w1 .. uk wk, and each other vertex joined to uk or wk.
+        edges.update((u, w_side[min(i, k - 1)]) for i, u in enumerate(u_side))
+        edges.update((u_side[min(j + 1, k - 1)], w) for j, w in enumerate(w_side))
     for u in u_side:
         for w in w_side:
             if rng.random() < opts["p"]:
                 edges.add((u, w))
-    spec = CWSpec(
-        u_side=u_side,
-        w_side=w_side,
-        core_edges=tuple(sorted(edges)),
-        pendant_counts={u: opts["nu"] for u in u_side},
-        triangle_counts={w: opts["nw"] for w in w_side},
-        tight=opts["tight"],
-    )
-    return gen_cameron_walker(spec, seed=rng.randrange(2**32))
+    counts = random.Random(rng.randrange(2**32))
+    edges = sorted(edges)
+    for u in sort_labels(u_side):
+        count = _resolve_count(opts["nu"], counts)
+        if count < 1:
+            raise InvalidSpecError(f"{u!r} needs at least one pendant vertex")
+        if opts["tight"] and count != 1:
+            raise InvalidSpecError(
+                f"tight recipes attach exactly one pendant vertex, got "
+                f"{count} at {u!r}"
+            )
+        edges += [(u, f"{u}_p{i}") for i in range(1, count + 1)]
+    for w in sort_labels(w_side):
+        count = _resolve_count(opts["nw"], counts)
+        if opts["tight"] and count < 1:
+            raise InvalidSpecError(
+                f"tight recipes attach at least one pendant triangle, got "
+                f"{count} at {w!r}"
+            )
+        for i in range(1, count + 1):
+            ta, tb = f"{w}_t{i}a", f"{w}_t{i}b"
+            edges += [(w, ta), (w, tb), (ta, tb)]
+    # Each generated vertex ends an edge, and is new: core labels hold no "_".
+    return Graph.build(u_side + w_side + [y for _, y in edges], edges)
 
 
 # -- hardness reductions ------------------------------------------------------

@@ -27,7 +27,7 @@ other pendant triangles waiting in a heap in the scans' order.  The same
 argument lets the search's children skip most of the first scan: a child
 is a reduced mask minus a deletion mask, which ``reduce_mask`` takes, so
 its first round scans only the deleted vertices' neighbours.  A scan reads
-any other degree it needs on demand.
+any other degree it needs on demand; a set keeps each pendant triangle once.
 
 The rules run on an interned graph (``graph.Interned``): ``reduce_mask``
 takes a vertex set as one int mask and works on indices, whose order is
@@ -177,11 +177,11 @@ def _scan(adj, live: int, pendant_triangles: bool, changed: int, deg=None):
     isolated vertices, the isolated edges as ``(x, u)`` with ``x < u``, and,
     with ``pendant_triangles``, the pendant triangles as ``(v, u, w)``, apex
     first; each list sorted, so the last one is a heap.  A pendant triangle
-    counts when one of its vertices of degree 2 is in ``changed``.  First,
-    though, it returns the degrees by index that the pendant-triangle steps
-    keep up to date: ``deg``, a new list unless given, with the live degree
-    of each vertex of ``changed`` written in, -1 for the others when new,
-    or None without ``pendant_triangles``.
+    counts when one of its vertices of degree 2 is in ``changed``, and a
+    set keeps it once.  First, though, it returns the degrees by index that
+    the pendant-triangle steps keep up to date: ``deg``, a new list unless
+    given, with the live degree of each vertex of ``changed`` written in,
+    -1 for the others when new, or None without ``pendant_triangles``.
     """
     if deg is None and pendant_triangles:
         deg = [-1] * len(adj)
@@ -211,27 +211,16 @@ def _scan(adj, live: int, pendant_triangles: bool, changed: int, deg=None):
                 twos.append(x)
     isolated.reverse()
     iso_edges.sort()
+    # _pendant gives a triangle the same triple from each vertex of degree 2.
     pendants = []
-    for x in twos:
-        triangle = _pendant(adj, live, deg, x)
-        if not triangle:
-            continue
-        # Found from each of its scanned vertices of degree 2, and reported
-        # from the smallest: on a whole scan, the apex of an isolated
-        # triangle, else u.
-        v, u, w = triangle
-        first, second = (v, u) if deg[v] == 2 else (u, w)
-        if x == first or (
-            not changed >> first & 1 and (x == second or not changed >> second & 1)
-        ):
-            pendants.append(triangle)
-    pendants.sort()
+    if twos:
+        pendants = sorted({t for x in twos if (t := _pendant(adj, live, deg, x))})
     return deg, isolated, iso_edges, pendants
 
 
 def _pendant(adj, live: int, deg, y: int):
-    """The triangle at ``y``, a live vertex of degree 2, as ``(v, u, w)`` if
-    it is pendant, else None.
+    """The triangle at ``y``, a live vertex of degree 2 whose two
+    neighbours are adjacent, as ``(v, u, w)`` if it is pendant, else None.
 
     An isolated triangle has its smallest vertex as the apex v, else the
     apex is the vertex of degree above 2; u < w are the other two.
@@ -239,8 +228,6 @@ def _pendant(adj, live: int, deg, y: int):
     nbrs = adj[y] & live
     b = nbrs.bit_length() - 1
     a = (nbrs ^ (1 << b)).bit_length() - 1
-    if not adj[a] >> b & 1:
-        return None  # y's two neighbours are not adjacent
     # Degrees not read yet are read now.
     da, db = deg[a], deg[b]
     if da < 0:
@@ -274,19 +261,10 @@ class TerminalState(Enum):
     EXHAUSTED = "exhausted"
 
 
-def terminal_state(inst: Instance, depth: int, budget: int) -> TerminalState:
-    """Decide whether a fully reduced node closes, and how.
-
-    Checks in order: target reached (yes), too few vertices left (no),
-    branching budget spent (exhausted).  The yes test deliberately precedes
-    the budget test so a solution sitting at the budget boundary is still
-    reported.
-    """
-    return node_state(inst.graph.vertex_count, inst.ell, depth, budget)
-
-
 def node_state(n: int, ell: int, depth: int, budget: int) -> TerminalState:
-    """``terminal_state`` of a reduced node with ``n`` vertices."""
+    """Whether a reduced node with ``n`` vertices closes: yes at target 0,
+    no with too few vertices left, exhausted at the budget, in that order,
+    so a solution at the budget boundary is still reported."""
     if ell == 0:
         return TerminalState.YES
     if n < 2 * ell:

@@ -86,7 +86,9 @@ def _search(adj, match, roots, parent, base, outer, *, reset=True):
     and are cleared again on return, for the vertices the forest touched
     only, so a search costs what it reaches and not the size of the graph.
     A last search, whose arrays are thrown away, skips that with
-    ``reset=False``.
+    ``reset=False``; resetting there too made ``decompose`` on sparse
+    G(n, c/n) graphs, n from 400 to 1,600, about 5% slower (median 0.0395
+    to 0.0414 s over 5 runs, Python 3.11, 2 cores).
     """
     # The queue keeps every outer vertex, each appended once when it turns
     # outer; with ``inner`` it holds every vertex the forest touched.

@@ -18,6 +18,7 @@ triangle-star test.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -40,6 +41,12 @@ def _require_cap(g: Graph, cap: int):
     if g.vertex_count > cap:
         raise TooLargeError(
             f"{g.vertex_count} vertices exceeds the brute-force cap ({cap})"
+        )
+    depth = sys.getrecursionlimit() // 2  # a level per edge or vertex taken
+    if g.vertex_count > depth:
+        raise TooLargeError(
+            f"{g.vertex_count} vertices exceeds the brute-force recursion "
+            f"cap ({depth})"
         )
 
 

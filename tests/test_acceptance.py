@@ -11,7 +11,7 @@ import pytest
 
 import imsolve as im
 from imsolve.gallai_edmonds import audit, decompose
-from imsolve.kernel import Instance, TerminalState, reduce_instance, terminal_state
+from imsolve.kernel import Instance, TerminalState, node_state, reduce_instance
 from imsolve.oracle import (
     NOT_CAMERON_WALKER,
     NOT_TIGHT,
@@ -145,7 +145,8 @@ def test_criterion_3_measure_drops():
                 violations += 1
             steps += 1
             g, ell = g2, ell2
-        if terminal_state(reduced, depth, budget) is not TerminalState.CONTINUE:
+        state = node_state(reduced.graph.vertex_count, reduced.ell, depth, budget)
+        if state is not TerminalState.CONTINUE:
             return
         choice = choose_rule(reduced.graph, decompose(reduced.graph))
         parent = potential(reduced.graph, reduced.ell)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -7,7 +8,7 @@ from imsolve import cli
 from imsolve.instances import MAX_VERTICES
 from imsolve.kernel import Instance
 
-from conftest import build, cycle
+from conftest import build, cycle, path
 
 
 @pytest.fixture()
@@ -94,6 +95,29 @@ def test_oracle_cap_exceeded_exit_3(capsys, tmp_path):
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert err == "error: 18 vertices exceeds the brute-force cap (16)\n"
+
+
+def test_hostile_inputs_exit_3(capsys, tmp_path):
+    # A path too long for the brute-force recursion, under a cap that
+    # admits it, and a header of more vertices than interning takes.
+    n = 2100
+    long_path = tmp_path / "path.im"
+    long_path.write_text(im.write_instance(Instance(path(n), 1)))
+    huge = tmp_path / "huge.im"
+    huge.write_text("p im 32769 0 1\n")
+    depth = sys.getrecursionlimit() // 2
+    deep = f"error: {n} vertices exceeds the brute-force recursion cap ({depth})\n"
+    wide = "error: 32769 vertices exceeds the interning cap (32768)\n"
+    for argv, message in (
+        (["oracle", str(long_path), "--cap", "3000"], deep),
+        (["solve", str(long_path), "--oracle-k", "--cap", "3000"], deep),
+        (["solve", str(huge)], wide),
+        (["solve-tg", str(huge)], wide),
+    ):
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
 
 
 def test_decompose_audit_ok(capsys, files):

@@ -9,10 +9,11 @@ from imsolve import graph as graph_module
 from imsolve.errors import (
     DuplicateEdgeError,
     SelfLoopError,
+    TooLargeError,
     UnknownEndpointError,
     UnknownVertexError,
 )
-from imsolve.graph import edge, label_key, sort_labels
+from imsolve.graph import MAX_INTERNED_VERTICES, Interned, edge, label_key, sort_labels
 
 from conftest import (
     all_labeled_graphs,
@@ -45,6 +46,16 @@ def test_build_rejections():
         im.Graph.build({"a", "b"}, [("a", "b"), ("b", "a")])
     with pytest.raises(UnknownEndpointError):
         im.Graph.build({"a", "b"}, [("a", "c")])
+    with pytest.raises(UnknownEndpointError, match="'c'"):
+        im.Graph.build({"a", "b"}, [("c", "a")])
+
+
+def test_unknown_vertex_queries():
+    g = cycle(5)
+    with pytest.raises(UnknownVertexError, match="99"):
+        g.neighbors(99)
+    with pytest.raises(UnknownVertexError, match="99"):
+        g.induced({1, 99})
 
 
 def test_delete_vertices_identity_and_empty():
@@ -53,6 +64,15 @@ def test_delete_vertices_identity_and_empty():
     assert g.delete_vertices(set(g.vertices)).vertex_count == 0
     with pytest.raises(UnknownVertexError):
         g.delete_vertices({99})
+
+
+def test_interning_refuses_a_graph_past_its_cap():
+    # 2**15 + 1 isolated vertices; the check runs before any mask is built.
+    g = im.read_instance(f"p im {MAX_INTERNED_VERTICES + 1} 0 1\n").graph
+    with pytest.raises(TooLargeError, match=r"32769 vertices exceeds the interning cap \(32768\)"):
+        Interned(g)
+    with pytest.raises(TooLargeError):
+        im.solve_auto(im.Instance(g, 1))
 
 
 def test_delete_keeps_matching_number_on_trap():
@@ -134,6 +154,8 @@ def test_verify_induced_matching_cases():
     assert im.verify_induced_matching(p4, set())
     with pytest.raises(UnknownEndpointError):
         im.verify_induced_matching(p4, {(1, 99)})
+    with pytest.raises(UnknownEndpointError, match="99"):
+        im.verify_induced_matching(p4, {(99, 1)})
     # pair that is not an edge of the host graph
     assert not im.verify_induced_matching(p4, {(1, 3)})
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import imsolve as im
@@ -9,7 +11,7 @@ from imsolve.errors import (
     NotACliqueError,
     ParseError,
 )
-from imsolve.instances import MAX_VERTICES, CWSpec, generate, parse_generator_spec
+from imsolve.instances import MAX_VERTICES, generate, parse_generator_spec
 from imsolve.kernel import Instance
 from imsolve.oracle import NOT_CAMERON_WALKER, NOT_TIGHT, classify_tight
 
@@ -102,25 +104,18 @@ def test_fixture_shapes():
     g = im.triangle_star_graph(4)
     assert g.vertex_count == 9 and g.edge_count == 12
     assert im.naive_branch_trap().edge_count == 13
+    with pytest.raises(ValueError, match="at least one triangle"):
+        im.triangle_star_graph(0)
 
 
 def test_cw_spec_triangle_star():
-    spec = CWSpec(w_side=("s",), triangle_counts={"s": 4})
-    g = im.gen_cameron_walker(spec)
+    g = generate("cw:u=0,w=1,nw=4")
     assert g.vertex_count == 9
     assert im.is_triangle_star(g)
 
 
 def test_cw_spec_tight_fixture():
-    spec = CWSpec(
-        u_side=("u1",),
-        w_side=("w1",),
-        core_edges=(("u1", "w1"),),
-        pendant_counts={"u1": 1},
-        triangle_counts={"w1": 1},
-        tight=True,
-    )
-    g = im.gen_cameron_walker(spec)
+    g = generate("cw:u=1,w=1,nu=1,nw=1,tight")
     assert g.vertex_count == 5
     got = classify_tight(g)
     assert got.kind == "tight-pendant-bipartite"
@@ -128,36 +123,61 @@ def test_cw_spec_tight_fixture():
 
 
 def test_cw_spec_validation():
-    with pytest.raises(InvalidSpecError):
-        im.gen_cameron_walker(CWSpec())  # empty core
-    with pytest.raises(InvalidSpecError):
-        im.gen_cameron_walker(
-            CWSpec(u_side=("u1", "u2"), w_side=("w1",), core_edges=(("u1", "w1"),))
-        )  # disconnected core
-    with pytest.raises(InvalidSpecError):
-        im.gen_cameron_walker(
-            CWSpec(u_side=("u1",), w_side=("w1",), core_edges=(("u1", "w1"),),
-                   pendant_counts={"u1": 0})
-        )
-    with pytest.raises(InvalidSpecError):
-        im.gen_cameron_walker(
-            CWSpec(u_side=("u1",), w_side=("w1",), core_edges=(("u1", "w1"),),
-                   pendant_counts={"u1": 2}, triangle_counts={"w1": 1}, tight=True)
-        )
-    with pytest.raises(InvalidSpecError):
-        im.gen_cameron_walker(
-            CWSpec(u_side=("a",), w_side=("a",), core_edges=())
-        )
-    with pytest.raises(InvalidSpecError):
-        im.gen_cameron_walker(
-            CWSpec(u_side=("u1",), w_side=("w1",), core_edges=(("u1", "w1"),),
-                   pendant_counts={"w1": 1})
-        )  # count targets the wrong side
-    with pytest.raises(InvalidSpecError):
-        im.gen_cameron_walker(
-            CWSpec(u_side=("u1", "u1_p1"), w_side=("w1",),
-                   core_edges=(("u1", "w1"), ("u1_p1", "w1")))
-        )  # core label collides with a generated pendant label
+    for spec, message in (
+        ("cw:u=0,w=0", "the core must have at least one vertex"),
+        ("cw:u=2,w=0", "the core must be connected"),
+        ("cw:u=1,w=1,nu=0", "'u1' needs at least one pendant vertex"),
+        (
+            "cw:u=1,w=1,nu=2,nw=1,tight",
+            "tight recipes attach exactly one pendant vertex, got 2 at 'u1'",
+        ),
+        (
+            "cw:u=1,w=1,nu=1,nw=0,tight",
+            "tight recipes attach at least one pendant triangle, got 0 at 'w1'",
+        ),
+        ("cw:u=1,w=1,nw=3-1", "empty count range (3, 1)"),
+    ):
+        with pytest.raises(InvalidSpecError) as info:
+            generate(spec)
+        assert str(info.value) == message, spec
+
+
+# SHA-256 of write_instance(Instance(generate(spec, seed), 1)), pinned so a
+# change to the generator cannot move the graphs that CI, the README and
+# the benchmark build from these specs.
+_GOLDEN_GRAPHS = {
+    ("cw:u=80,w=80,nu=1,nw=1-3,tight", 1):
+        "0b6f7b99669e3aa8885aa80a639c14a8f9a61e44fb29fdde1619cd8a0c0e5c36",
+    ("cw:u=0,w=1,nw=4", 0):
+        "290294edd06145b2e35d839fc96cb3052f57324623be8bef429e53f523977456",
+    ("random:n=12,p=0.3", 1):
+        "e66ff68d6e974699ae028a797955b4312dc0244992c66c66e7d77a4550507846",
+}
+_GOLDEN_SMALL_CW = (
+    "a2094d6ae6372188d35395493dcf8f3474fe477c79cd4d572cc3d03ab9e478a4",
+    "e91e26a62e83d7cd220fb50d22e957cfd71dde7045d200a23c927a94bb7c5103",
+    "e91e26a62e83d7cd220fb50d22e957cfd71dde7045d200a23c927a94bb7c5103",
+    "e0e473959d8eff3e1b3c96e4e2ea131f1a1c5a71c8fe771df90f2ac9b5153b59",
+    "89abd55fe21a0baf6ec55edf5d919a562db46a5bd3376a81e0f5c7e5a6584be0",
+    "abdf9fa7909b0533058d11f91394140db1b77cf905a0a8b9768a79ae4392d0c7",
+    "069dbf9f3006b9d8e0f8c74c453ce9fb99a1e28886b2285009b51be501e31e59",
+    "4be9cf8482478ab6ad1f2e6e398c7e0909f5b90b6c9c73d3a4c88c927583ffc7",
+    "857db4b44281b5b4a418bcadc1033545ebb92f6a623d3290b6ab094a5ba91797",
+    "e7dee7ec6662665eb0386d1316161d165c2d28b61a1d1a88e02e7fb5111703ca",
+    "613d5889e2087806828f66c67322752c1a7681ba90befdf153b7a7e27f6c5353",
+    "63370fe07c89165fcb4a36dd80f9cfa4303b7fe25d5402910357b9491e16af31",
+)
+
+
+def test_generate_golden_digests():
+    def digest(spec, seed):
+        text = im.write_instance(Instance(generate(spec, seed), 1))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    for (spec, seed), want in _GOLDEN_GRAPHS.items():
+        assert digest(spec, seed) == want, (spec, seed)
+    for seed, want in enumerate(_GOLDEN_SMALL_CW):
+        assert digest("cw:u=2,w=2,p=0.5,nu=1-2,nw=0-2", seed) == want, seed
 
 
 def test_generated_cw_graphs_have_equal_matching_invariants():
@@ -249,6 +269,8 @@ def test_parse_generator_spec_errors():
     assert kind == "cw" and opts["u"] + opts["w"] == MAX_VERTICES
     kind, opts = parse_generator_spec("random:n=6,p=0.25")
     assert kind == "random" and opts == {"n": 6, "p": 0.25}
+    # An empty item between commas is skipped.
+    assert parse_generator_spec("random:n=3,,p=0.5") == ("random", {"n": 3, "p": 0.5})
 
 
 # -- dominating-set reduction ---------------------------------------------------
@@ -283,6 +305,10 @@ def test_ds_reduction_preconditions():
         im.reduce_dominating_set(build(4, [(1, 2), (3, 4)]), 1)
     with pytest.raises(ValueError):
         im.reduce_dominating_set(complete(3), 9)
+    # The subdivision vertex of edge (1, 2) would be named "1_2".
+    taken = im.Graph.build([1, 2, 3, "1_2"], [(1, 2), (1, 3), (2, 3), (3, "1_2")])
+    with pytest.raises(ValueError, match="label '1_2' already exists"):
+        im.reduce_dominating_set(taken, 1)
 
 
 def test_ds_reduction_equivalence_small():
@@ -328,6 +354,11 @@ def test_mis_reduction_validation():
         im.reduce_multicolored_is(g, [{1, 2}])  # does not cover 3, 4
     with pytest.raises(ValueError):
         im.reduce_multicolored_is(g, [{1, 2}, {2, 3, 4}])  # overlap
+    with pytest.raises(ValueError, match="empty part"):
+        im.reduce_multicolored_is(g, [{1, 2}, set(), {3, 4}])
+    named = im.Graph.build(["a", "v1"], [("a", "v1")])
+    with pytest.raises(ValueError, match="label 'v1' already exists"):
+        im.reduce_multicolored_is(named, [{"a", "v1"}])
 
 
 def test_mis_reduction_apexes_form_maximum_independent_set():

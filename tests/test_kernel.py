@@ -12,9 +12,9 @@ from imsolve.kernel import (
     RULE_PENDANT_TRIANGLE,
     Instance,
     TerminalState,
+    node_state,
     reduce_instance,
     reduce_mask,
-    terminal_state,
 )
 
 from conftest import all_labeled_graphs, build, cycle, mixed_labels, random_graphs
@@ -292,10 +292,10 @@ def test_scan_of_a_deleted_vertex_neighbours_finds_every_feature():
     assert pendant > 500
 
 
-def test_terminal_state_order():
-    assert terminal_state(Instance(cycle(5), 0), 0, 0) is TerminalState.YES
-    assert terminal_state(Instance(build(3), 2), 0, 9) is TerminalState.NO
-    assert terminal_state(Instance(cycle(5), 2), 0, 0) is TerminalState.EXHAUSTED
-    assert terminal_state(Instance(cycle(5), 2), 0, 1) is TerminalState.CONTINUE
+def test_node_state_order():
+    assert node_state(5, 0, 0, 0) is TerminalState.YES
+    assert node_state(3, 2, 0, 9) is TerminalState.NO
+    assert node_state(5, 2, 0, 0) is TerminalState.EXHAUSTED
+    assert node_state(5, 2, 0, 1) is TerminalState.CONTINUE
     # the yes check precedes the budget check
-    assert terminal_state(Instance(build(0), 0), 5, 0) is TerminalState.YES
+    assert node_state(0, 0, 5, 0) is TerminalState.YES

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from itertools import combinations
 
 import pytest
@@ -78,6 +80,20 @@ def test_caps_are_enforced():
     with pytest.raises(TooLargeError):
         im.brute_im(big)
     assert im.brute_is(big, cap=17) == 17
+
+
+def test_caps_stop_short_of_the_recursion_limit():
+    # One recursion level per chosen edge or removed vertex: a long path or a
+    # big star would overflow Python's stack under any cap, so a graph past
+    # half the recursion limit is refused before the enumeration starts.
+    depth = sys.getrecursionlimit() // 2
+    big = path(depth + 1)
+    message = f"{depth + 1} vertices exceeds the brute-force recursion cap ({depth})"
+    for fn in (im.brute_im, im.brute_mm, im.brute_is, im.brute_vc, im.brute_ds):
+        with pytest.raises(TooLargeError, match=re.escape(message)):
+            fn(big, cap=10 * depth)
+    with pytest.raises(TooLargeError, match=re.escape(message)):
+        parameters(star(depth), 0, cap=10 * depth)
 
 
 def test_parameters_landmarks():

@@ -14,7 +14,7 @@ import imsolve as im
 from imsolve.errors import PreconditionViolatedError
 from imsolve.gallai_edmonds import decompose
 from imsolve.graph import label_key
-from imsolve.kernel import Instance, TerminalState, reduce_instance, terminal_state
+from imsolve.kernel import Instance, TerminalState, node_state, reduce_instance
 from imsolve.solver import (
     Answer,
     BranchChoice,
@@ -565,7 +565,8 @@ def test_yes_instance_at_budget_boundary_has_collapsed_invariants():
                 assert mm == is_ == size == inst.ell
             return
         reduced, _, _ = reduce_instance(inst)
-        if terminal_state(reduced, depth, budget) is not TerminalState.CONTINUE:
+        state = node_state(reduced.graph.vertex_count, reduced.ell, depth, budget)
+        if state is not TerminalState.CONTINUE:
             return
         choice = choose_rule(reduced.graph, decompose(reduced.graph))
         for dels in expand(reduced.graph, choice):
