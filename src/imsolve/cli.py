@@ -138,17 +138,6 @@ def _emit(doc: dict, as_json: bool, lines) -> None:
             print(line)
 
 
-def _stats_doc(stats) -> dict:
-    return {
-        "nodes_visited": stats.nodes_visited,
-        "max_depth": stats.max_depth,
-        "branchings_by_rule": dict(sorted(stats.branchings_by_rule.items())),
-        "reductions_by_rule": dict(sorted(stats.reductions_by_rule.items())),
-        "bound_prunes": stats.bound_prunes,
-        "memo_hits": stats.memo_hits,
-    }
-
-
 def _certificate_doc(cert):
     if cert is None:
         return None
@@ -193,7 +182,7 @@ def _solve_command(args, command: str, engine: str, solve) -> int:
         "ell": inst.ell,
         "answer": result.answer.value,
         "certificate": _certificate_doc(result.certificate),
-        "stats": _stats_doc(result.stats),
+        "stats": vars(result.stats),
     }
     lines = [f"answer: {result.answer.value}"]
     if result.certificate is not None:

@@ -26,14 +26,14 @@ triangle that is new or became isolated, which has a neighbour of degree
 other pendant triangles waiting in a heap in the scans' order.  The same
 argument lets the search's children skip most of the first scan: a child
 is a reduced mask minus a deletion mask, which ``reduce_mask`` takes, so
-its first round scans only the deleted vertices' neighbours.  A scan reads
-any other degree it needs on demand; a set keeps each pendant triangle once.
+its first round scans only the deleted vertices' neighbours.  No degree
+table is kept: a degree is read off the masks when it is needed, and a set
+keeps each pendant triangle once.
 
 The rules run on an interned graph (``graph.Interned``): ``reduce_mask``
 takes a vertex set as one int mask and works on indices, whose order is
-label order, with a degree list by index.  ``reduce_instance`` is the
-label-level entry point: it interns its graph, reduces the mask, and
-builds the reduced graph once, at the end.
+label order.  ``reduce_instance`` is the label-level entry point: it
+interns its graph, reduces the mask, and builds the reduced graph once.
 
 Every application is returned as a ``ReductionStep`` so tests can replay
 the exact deletion sequence step by step.
@@ -124,11 +124,11 @@ def reduce_mask(
     of degree 2 is such a neighbour, since a reduced mask has no pendant
     triangle and only those neighbours lost degree.  Each later round scans
     only the live neighbours of the apex that the last pendant-triangle
-    step deleted (see the module docstring), with the degrees found so far,
-    while the earlier rounds' other pendant triangles wait in a heap of
-    ``(v, u, w)`` triples, the scans' order, each checked again when it
-    reaches the top.  Degrees no scan read are read from ``adj`` on demand.
-    So every round takes the steps a fresh scan of the whole graph would.
+    step deleted (see the module docstring), while the earlier rounds'
+    other pendant triangles wait in a heap of ``(v, u, w)`` triples, the
+    scans' order, each checked again when it reaches the top.  Degrees are
+    read off ``adj`` and ``live`` when needed; no table is kept.  So every
+    round takes the steps a fresh scan of the whole graph would.
     """
     seed = live
     if deleted is not None:
@@ -142,9 +142,7 @@ def reduce_mask(
         seed &= near
     steps = []
     harvested = []
-    # Live degrees known so far, -1 if not read yet; a vertex deleted by the
-    # reduction reads at most 1.
-    deg, isolated, iso_edges, heap = _scan(adj, live, pendant_triangles, seed)
+    isolated, iso_edges, heap = _scan(adj, live, pendant_triangles, seed)
     while True:
         for v in isolated:
             steps.append((RULE_ISOLATED_VERTEX, (v,), None))
@@ -157,19 +155,18 @@ def reduce_mask(
                 steps.append((RULE_ISOLATED_EDGE, e, e))
             else:
                 steps.append((RULE_ISOLATED_EDGE, e, None))
-        v = _pop_apex(heap, deg)
+        v = _pop_apex(heap, adj, live)
         if v is None:
             break
         steps.append((RULE_PENDANT_TRIANGLE, (v,), None))
         live ^= 1 << v
-        deg[v] = 0
-        _, isolated, iso_edges, pendants = _scan(adj, live, True, adj[v] & live, deg)
+        isolated, iso_edges, pendants = _scan(adj, live, True, adj[v] & live)
         for triangle in pendants:
             heappush(heap, triangle)
     return live, ell, harvested, steps
 
 
-def _scan(adj, live: int, pendant_triangles: bool, changed: int, deg=None):
+def _scan(adj, live: int, pendant_triangles: bool, changed: int):
     """The one scan of a reduction round: the features of ``live`` that
     contain a vertex of ``changed``.
 
@@ -178,13 +175,8 @@ def _scan(adj, live: int, pendant_triangles: bool, changed: int, deg=None):
     with ``pendant_triangles``, the pendant triangles as ``(v, u, w)``, apex
     first; each list sorted, so the last one is a heap.  A pendant triangle
     counts when one of its vertices of degree 2 is in ``changed``, and a
-    set keeps it once.  First, though, it returns the degrees by index that
-    the pendant-triangle steps keep up to date: ``deg``, a new list unless
-    given, with the live degree of each vertex of ``changed`` written in,
-    -1 for the others when new, or None without ``pendant_triangles``.
+    set keeps it once.
     """
-    if deg is None and pendant_triangles:
-        deg = [-1] * len(adj)
     isolated = []
     iso_edges = []
     twos = []
@@ -196,8 +188,6 @@ def _scan(adj, live: int, pendant_triangles: bool, changed: int, deg=None):
         rest ^= bit
         nbrs = adj[x] & live
         d = nbrs.bit_count()
-        if pendant_triangles:
-            deg[x] = d
         if d == 1:
             u = nbrs.bit_length() - 1
             # Reported once, from its smaller end that is scanned.
@@ -214,11 +204,11 @@ def _scan(adj, live: int, pendant_triangles: bool, changed: int, deg=None):
     # _pendant gives a triangle the same triple from each vertex of degree 2.
     pendants = []
     if twos:
-        pendants = sorted({t for x in twos if (t := _pendant(adj, live, deg, x))})
-    return deg, isolated, iso_edges, pendants
+        pendants = sorted({t for x in twos if (t := _pendant(adj, live, x))})
+    return isolated, iso_edges, pendants
 
 
-def _pendant(adj, live: int, deg, y: int):
+def _pendant(adj, live: int, y: int):
     """The triangle at ``y``, a live vertex of degree 2 whose two
     neighbours are adjacent, as ``(v, u, w)`` if it is pendant, else None.
 
@@ -228,12 +218,8 @@ def _pendant(adj, live: int, deg, y: int):
     nbrs = adj[y] & live
     b = nbrs.bit_length() - 1
     a = (nbrs ^ (1 << b)).bit_length() - 1
-    # Degrees not read yet are read now.
-    da, db = deg[a], deg[b]
-    if da < 0:
-        da = deg[a] = (adj[a] & live).bit_count()
-    if db < 0:
-        db = deg[b] = (adj[b] & live).bit_count()
+    da = (adj[a] & live).bit_count()
+    db = (adj[b] & live).bit_count()
     if da == 2 == db:
         return tuple(sorted((y, a, b)))
     if da == 2 or db == 2:
@@ -242,15 +228,19 @@ def _pendant(adj, live: int, deg, y: int):
     return None
 
 
-def _pop_apex(heap, deg):
+def _pop_apex(heap, adj, live: int):
     """Pop the first triangle still reported as it was pushed; its apex."""
     while heap:
         v, u, w = heappop(heap)
         # u and w of degree 2 keep their neighbours, so the triangle stands;
         # it is reported as (v, u, w) while v has more neighbours, or, once
-        # the triangle is isolated, while v is its smallest vertex.
-        if deg[u] == 2 == deg[w] and (deg[v] > 2 or (deg[v] == 2 and v < u)):
-            return v
+        # the triangle is isolated, while v is its smallest vertex.  v, u, w
+        # were pairwise adjacent when pushed and live neighbourhoods only
+        # shrink, so if any of them is deleted, u or w reads below 2.
+        if (adj[u] & live).bit_count() == 2 == (adj[w] & live).bit_count():
+            dv = (adj[v] & live).bit_count()
+            if dv > 2 or (dv == 2 and v < u):
+                return v
     return None
 
 

@@ -227,7 +227,7 @@ def _choose(adj, live: int, a: int, c: int, comps) -> tuple:
             continue
         # A triangle star has 2k + 1 vertices and k pendant triangles, all
         # on the center (see ``oracle.triangle_star_parts``).
-        triangles = _scan(adj, comp, True, comp)[3]
+        triangles = _scan(adj, comp, True, comp)[2]
         if not triangles or comp.bit_count() != 2 * len(triangles) + 1:
             if long_comp is None:
                 long_comp = comp

@@ -195,6 +195,12 @@ def test_reduce_mis(capsys, tmp_path):
     argv = ["reduce-mis", str(src), "--cliques", "1,2;3,4", "--out", str(dest)]
     assert run(capsys, argv) == (0, "")
     assert dest.read_text() == out
+    # Empty clique chunks, inside or at the end of the list, are skipped.
+    for cliques in ("1,2;;3,4", "1,2;3,4;"):
+        argv = ["reduce-mis", str(src), "--cliques", cliques, "--out", str(dest)]
+        dest.unlink()
+        assert run(capsys, argv) == (0, "")
+        assert dest.read_text() == out
 
 
 def test_bench_table(capsys, files):

@@ -204,17 +204,21 @@ def test_rounds_match_one_rule_per_scan():
 def test_one_scan_and_at_most_one_rebuild_per_reduction(monkeypatch):
     # Only the first round scans the whole graph, and the reduced graph is
     # built once, however many pendant-triangle steps the reduction takes.
-    # Later rounds share the first scan's degrees and scan only the deleted
-    # apex's neighbours, so only the scan without degrees is counted.
+    # Each later round follows one pendant-triangle step and scans only the
+    # live neighbours of a deleted vertex, the apex.
     calls = {"scan": 0, "delete_vertices": 0}
     scan = kernel._scan
     delete_vertices = im.Graph.delete_vertices
 
-    def counted_scan(adj, live, pendant_triangles, changed, deg=None):
-        if deg is None:
+    def counted_scan(adj, live, pendant_triangles, changed):
+        if calls["scan"] == 0:
             assert changed == live
-            calls["scan"] += 1
-        return scan(adj, live, pendant_triangles, changed, deg)
+        else:
+            assert any(
+                not live >> v & 1 and changed == adj[v] & live for v in range(len(adj))
+            )
+        calls["scan"] += 1
+        return scan(adj, live, pendant_triangles, changed)
 
     def counted_delete_vertices(self, remove):
         calls["delete_vertices"] += 1
@@ -230,9 +234,10 @@ def test_one_scan_and_at_most_one_rebuild_per_reduction(monkeypatch):
             for mode in (True, False):
                 calls.update(scan=0, delete_vertices=0)
                 _, _, steps = reduce_instance(Instance(g, ell), pendant_triangles=mode)
-                assert calls["scan"] == 1
+                pendant_steps = [s.rule for s in steps].count(RULE_PENDANT_TRIANGLE)
+                assert calls["scan"] == 1 + pendant_steps
                 assert calls["delete_vertices"] <= 1
-                chains += [s.rule for s in steps].count(RULE_PENDANT_TRIANGLE) > 1
+                chains += pendant_steps > 1
     assert chains > 500
 
 

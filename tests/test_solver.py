@@ -849,13 +849,21 @@ def test_search_does_not_depend_on_the_hash_seed():
 
 def test_disjoint_union_of_int_and_str_labelled_graphs():
     # im(G + H) = im(G) + im(H); the union mixes int and str labels, so
-    # interning orders and indexes both label types at n up to 24.
-    for i, (n_g, n_h) in enumerate([(8, 12), (10, 10), (12, 9), (11, 12), (12, 12), (9, 8)]):
-        g = seeded_gnm_graph(n_g, 0.3, 40 + i)
-        h = relabelled(seeded_gnm_graph(n_h, 0.25, 60 + i), lambda v: f"h{v}")
+    # interning orders and indexes both label types.  Up to n = 24 brute_im
+    # gives each part's im; at n 30-60, past the oracle cap, the solve_auto
+    # ladder does, and solve_imbtg runs only up to n = 40.
+    small = [(8, 12), (10, 10), (12, 9), (11, 12), (12, 12), (9, 8)]
+    pairs = [
+        (seeded_gnm_graph(n_g, 0.3, 40 + i), seeded_gnm_graph(n_h, 0.25, 60 + i))
+        for i, (n_g, n_h) in enumerate(small)
+    ] + [(sparse_gnm(n, 7000 + n), sparse_gnm(n, 8000 + n)) for n in range(15, 31, 3)]
+    for g, h in pairs:
+        h = relabelled(h, lambda v: f"h{v}")
         union = im.Graph.build(g.vertices + h.vertices, g.edges() + h.edges())
-        best = im.brute_im(g)[0] + im.brute_im(h)[0]
-        for solve in (solve_auto, solve_imbtg):
+        n = union.vertex_count
+        part_im = (lambda x: im.brute_im(x)[0]) if n <= 24 else im_by_ladder
+        best = part_im(g) + part_im(h)
+        for solve in (solve_auto, solve_imbtg) if n <= 40 else (solve_auto,):
             yes = solve(Instance(union, best))
             assert yes.answer is Answer.YES
             assert len(yes.certificate) == best
@@ -870,6 +878,17 @@ def sparse_gnm(n, seed):
     return im.Graph.build(range(1, n + 1), random.Random(seed).sample(pairs, round(0.8 * n)))
 
 
+def im_by_ladder(g):
+    """im(g) as the last ell at which solve_auto says yes, asking at
+    ell = 1, 2, ... and verifying each yes's certificate."""
+    ell = 1
+    while (res := solve_auto(Instance(g, ell))).answer is Answer.YES:
+        assert len(res.certificate) == ell
+        assert im.verify_induced_matching(g, res.certificate)
+        ell += 1
+    return ell - 1
+
+
 def test_metamorphic_relations_past_the_oracle_cap():
     # No oracle reaches n 30-60, but the answers must still fit together:
     # yes up to some ell and no from there on, each yes with a verified
@@ -880,12 +899,7 @@ def test_metamorphic_relations_past_the_oracle_cap():
     for n in range(30, 61, 6):
         for seed in (1, 2):
             g = sparse_gnm(n, 100 * n + seed)
-            ell = 1
-            while (res := solve_auto(Instance(g, ell))).answer is Answer.YES:
-                assert len(res.certificate) == ell
-                assert im.verify_induced_matching(g, res.certificate)
-                ell += 1
-            best = ell - 1
+            best = im_by_ladder(g)
             assert best >= 6
             assert solve_auto(Instance(g, best + 2)).answer is Answer.NO
             shuffled = list(g.vertices)
