@@ -122,9 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str, ell_override) -> Instance:
+def _load(path: str, ell_override, internable: bool = False) -> Instance:
     text = Path(path).read_text()
-    inst = read_instance(text)
+    inst = read_instance(text, internable=internable)
     if ell_override is not None:
         inst = Instance(inst.graph, ell_override)
     return inst
@@ -166,7 +166,7 @@ def _solve_command(args, command: str, engine: str, solve) -> int:
     decomposition-guided engine has a mode, and only it reports the size of
     its search in the text output.
     """
-    inst = _load(args.path, args.ell)
+    inst = _load(args.path, args.ell, internable=True)
     handle, trace = _open_trace(args.trace)
     try:
         result, mode = solve(inst, trace)
@@ -330,7 +330,7 @@ def _cmd_bench(args) -> int:
         raise NotADirectoryError(f"not a directory: {args.directory!r}")
     rows = []
     for path in sorted(directory.glob("*.im")):
-        inst = read_instance(path.read_text())
+        inst = read_instance(path.read_text(), internable=True)
         if args.engine == "tg":
             result = solve_imbtg(inst)
         else:

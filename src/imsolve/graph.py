@@ -279,6 +279,14 @@ def lowest_two(mask: int) -> tuple:
     return low.bit_length() - 1, (mask & -mask).bit_length() - 1
 
 
+def _check_internable(n: int) -> None:
+    """Raise TooLargeError if ``Interned`` would refuse ``n`` vertices."""
+    if n > MAX_INTERNED_VERTICES:
+        raise TooLargeError(
+            f"{n} vertices exceeds the interning cap ({MAX_INTERNED_VERTICES})"
+        )
+
+
 class Interned:
     """A graph's vertices as the bits of an int, in label order.
 
@@ -292,11 +300,7 @@ class Interned:
     __slots__ = ("labels", "bit", "adj", "full")
 
     def __init__(self, graph: Graph):
-        if graph.vertex_count > MAX_INTERNED_VERTICES:
-            raise TooLargeError(
-                f"{graph.vertex_count} vertices exceeds the interning cap "
-                f"({MAX_INTERNED_VERTICES})"
-            )
+        _check_internable(graph.vertex_count)
         self.labels = graph.vertices
         self.bit = bit = {v: 1 << i for i, v in enumerate(self.labels)}
         # The bits of distinct neighbours are distinct powers of two, so

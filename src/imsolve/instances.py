@@ -7,16 +7,19 @@ File format (DIMACS-flavored, bit-exact when written by this module):
     e <u> <v>
 
 with 1-based vertex indices, LF line endings and single spaces.  The
-target rides in the header so an instance is a single file.  Reading is
-lenient about comments and blank lines; writing is canonical (sorted
-edges, no comments), so write(read(text)) normalizes.  A header that
-declares more than ``MAX_VERTICES`` vertices is refused before any vertex
-is built.
+target rides in the header so an instance is a single file.  Writing is
+canonical (sorted edges, no comments, a final newline), so
+write(read(text)) normalizes.  A canonical file is read in bulk; anything
+else, such as comments, blank lines, other whitespace or CRLF, is read line
+by line, with the same result.  A header that declares more than
+``MAX_VERTICES`` vertices is refused before any vertex is built.
 """
 
 from __future__ import annotations
 
 import random
+import re
+import sys
 from collections import defaultdict
 from itertools import combinations
 
@@ -28,7 +31,7 @@ from .errors import (
     NotACliqueError,
     ParseError,
 )
-from .graph import Graph, sort_labels
+from .graph import MAX_INTERNED_VERTICES, Graph, _check_internable, sort_labels
 from .kernel import Instance
 
 MAX_VERTICES = 1_000_000
@@ -91,11 +94,70 @@ def anchored_triangle() -> Graph:
 # -- file format --------------------------------------------------------------
 
 
-def read_instance(text: str) -> Instance:
+# The form write_instance emits: single spaces, LF line endings, a final
+# newline and ASCII decimals, here of at most 18 digits so that int() never
+# meets its digit limit.  Python 3.11 can repeat the edge lines possessively,
+# which keeps no backtracking state and halves the match time.
+_CANONICAL = re.compile(
+    r"p im ([0-9]{1,18}) ([0-9]{1,18}) ([0-9]{1,18})\n"
+    r"(?:e [0-9]{1,18} [0-9]{1,18}\n)*"
+    + ("+" if sys.version_info >= (3, 11) else "")
+)
+
+# Every isolated vertex shares this one: each frozenset() is a new object
+# (216 bytes on Python 3.11), and a header may declare a million vertices.
+_NO_NEIGHBOURS = frozenset()
+
+
+def read_instance(text: str, *, internable: bool = False) -> Instance:
     """Parse an instance file; raises ParseError / InconsistentHeaderError.
 
-    One pass: each edge goes straight into the neighbour sets of its
-    endpoints, which also catch duplicate edges.
+    A file in the canonical form that ``write_instance`` emits is read in
+    bulk.  Anything else, and a canonical file that fails a check, is read
+    line by line, with the same result; that loop alone accepts comments,
+    blank lines, other whitespace and CRLF, and raises every error, with
+    its line number.  With ``internable``, a header of more vertices than
+    ``Interned`` takes raises TooLargeError before any vertex is built.
+    """
+    limit = MAX_INTERNED_VERTICES if internable else MAX_VERTICES
+    inst = _read_canonical(text, limit)
+    return _read_lines(text, internable) if inst is None else inst
+
+
+def _read_canonical(text: str, max_vertices: int) -> Instance | None:
+    """The instance of a canonical, valid ``text``, or None.
+
+    Endpoints are converted once per distinct string, and checked in bulk.
+    """
+    match = _CANONICAL.fullmatch(text)
+    if match is None:
+        return None
+    n, m, ell = map(int, match.groups())
+    if n > max_vertices:
+        return None
+    tokens = text.split()
+    heads, tails = tokens[6::3], tokens[7::3]
+    if len(heads) != m:
+        return None
+    number = {s: int(s) for s in {*heads, *tails}}
+    if min(number.values(), default=1) < 1 or max(number.values(), default=n) > n:
+        return None
+    nbrs = {v: set() for v in number.values()}
+    for u, v in zip(map(number.__getitem__, heads), map(number.__getitem__, tails)):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    # A duplicate edge adds no neighbour and a self-loop adds one, so the
+    # sets sum to 2m only if every edge is new and joins two vertices.
+    if sum(map(len, nbrs.values())) != 2 * m:
+        return None
+    return _instance(n, nbrs, ell)
+
+
+def _read_lines(text: str, internable: bool) -> Instance:
+    """The reference reader: one pass over the lines.
+
+    Each edge goes straight into the neighbour sets of its endpoints, which
+    also catch duplicate edges.
     """
     header = None
     nbrs = defaultdict(set)
@@ -122,6 +184,8 @@ def read_instance(text: str) -> Instance:
                 raise ParseError(
                     f"header declares {n} vertices, more than {MAX_VERTICES}", lineno
                 )
+            if internable:
+                _check_internable(n)
             header = (n, m, ell)
         elif tokens[0] == "e":
             if header is None:
@@ -153,10 +217,15 @@ def read_instance(text: str) -> Instance:
         raise InconsistentHeaderError(
             f"header declares {m} edges but the file has {edge_count}"
         )
-    # Vertices 1..n in increasing order are already in label order.
-    return Instance(
-        Graph({v: frozenset(nbrs.get(v, ())) for v in range(1, n + 1)}), ell
-    )
+    return _instance(n, nbrs, ell)
+
+
+def _instance(n: int, nbrs: dict, ell: int) -> Instance:
+    """The instance on vertices 1..n, which are already in label order."""
+    adj = dict.fromkeys(range(1, n + 1), _NO_NEIGHBOURS)
+    for v, ns in nbrs.items():
+        adj[v] = frozenset(ns)
+    return Instance(Graph(adj), ell)
 
 
 def write_instance(inst: Instance) -> str:

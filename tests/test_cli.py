@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -99,22 +100,31 @@ def test_oracle_cap_exceeded_exit_3(capsys, tmp_path):
 
 def test_hostile_inputs_exit_3(capsys, tmp_path):
     # A path too long for the brute-force recursion, under a cap that
-    # admits it, and a header of more vertices than interning takes.
+    # admits it, and headers of more vertices than interning takes, which
+    # are refused before a vertex is built: a million of them took about
+    # 280 MB.
     n = 2100
     long_path = tmp_path / "path.im"
     long_path.write_text(im.write_instance(Instance(path(n), 1)))
-    huge = tmp_path / "huge.im"
-    huge.write_text("p im 32769 0 1\n")
     depth = sys.getrecursionlimit() // 2
     deep = f"error: {n} vertices exceeds the brute-force recursion cap ({depth})\n"
-    wide = "error: 32769 vertices exceeds the interning cap (32768)\n"
-    for argv, message in (
+    cases = [
         (["oracle", str(long_path), "--cap", "3000"], deep),
         (["solve", str(long_path), "--oracle-k", "--cap", "3000"], deep),
-        (["solve", str(huge)], wide),
-        (["solve-tg", str(huge)], wide),
-    ):
-        assert cli.main(argv) == 3
+    ]
+    for size in (32769, 1_000_000):
+        huge = tmp_path / f"huge{size}.im"
+        huge.write_text(f"p im {size} 0 1\n")
+        wide = f"error: {size} vertices exceeds the interning cap (32768)\n"
+        cases += [(["solve", str(huge)], wide), (["solve-tg", str(huge)], wide)]
+    for argv, message in cases:
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, (argv, peak)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message

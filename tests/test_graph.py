@@ -67,10 +67,16 @@ def test_delete_vertices_identity_and_empty():
 
 
 def test_interning_refuses_a_graph_past_its_cap():
-    # 2**15 + 1 isolated vertices; the check runs before any mask is built.
-    g = im.read_instance(f"p im {MAX_INTERNED_VERTICES + 1} 0 1\n").graph
-    with pytest.raises(TooLargeError, match=r"32769 vertices exceeds the interning cap \(32768\)"):
+    # 2**15 + 1 isolated vertices; the check runs before any mask is built,
+    # and with ``internable`` before the file's vertices are.
+    text = f"p im {MAX_INTERNED_VERTICES + 1} 0 1\n"
+    g = im.read_instance(text).graph
+    message = r"32769 vertices exceeds the interning cap \(32768\)"
+    with pytest.raises(TooLargeError, match=message):
         Interned(g)
+    for text in (text, "c\n" + text):  # the bulk reader and the line loop
+        with pytest.raises(TooLargeError, match=message):
+            im.read_instance(text, internable=True)
     with pytest.raises(TooLargeError):
         im.solve_auto(im.Instance(g, 1))
 

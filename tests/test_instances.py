@@ -1,17 +1,28 @@
 import hashlib
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import imsolve as im
 from imsolve.errors import (
     AcyclicError,
     DisconnectedError,
     InconsistentHeaderError,
+    IMSolveError,
     InvalidSpecError,
     NotACliqueError,
     ParseError,
 )
-from imsolve.instances import MAX_VERTICES, generate, parse_generator_spec
+from imsolve.graph import MAX_INTERNED_VERTICES
+from imsolve.instances import (
+    MAX_VERTICES,
+    _read_canonical,
+    _read_lines,
+    generate,
+    parse_generator_spec,
+)
 from imsolve.kernel import Instance
 from imsolve.oracle import NOT_CAMERON_WALKER, NOT_TIGHT, classify_tight
 
@@ -68,6 +79,74 @@ def test_parse_errors_carry_line_numbers():
         with pytest.raises(ParseError) as info:
             im.read_instance(text)
         assert info.value.line == line, text
+
+
+@st.composite
+def _edge_lists(draw):
+    """``(n, edges, ell)``: edges in any order and orientation, on 1..n with
+    possibly some isolated high-numbered vertices."""
+    core = draw(st.integers(0, 8))
+    pairs = list(combinations(range(1, core + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    return core + draw(st.integers(0, 3)), edges, draw(st.integers(0, 4))
+
+
+def _canonical(n, edges, ell, m=None):
+    m = len(edges) if m is None else m
+    return f"p im {n} {m} {ell}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+
+
+def _outcome(read, text, internable):
+    try:
+        inst = read(text, internable=internable)
+    except IMSolveError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return list(inst.graph._adj.items()), inst.ell
+
+
+@given(_edge_lists())
+def test_bulk_read_equals_the_line_loop(case):
+    n, edges, ell = case
+    text = _canonical(n, edges, ell)
+    assert _read_canonical(text, MAX_VERTICES) is not None
+    texts = [
+        text,
+        _canonical(n, edges + [(0, max(n, 1))], ell),
+        _canonical(n, edges + [(1, n + 1)], ell),
+        _canonical(n, edges + [(n, n)], ell),
+        _canonical(n, edges, ell, m=len(edges) + 1),
+        _canonical(MAX_VERTICES + 1, edges, ell),
+        _canonical(n, edges, 10**18),  # 19 digits
+        text.replace("p im ", "p im 0", 1),
+        text.replace("p im ", "p im +", 1),
+        text.replace("\n", "\r\n"),
+        "c a comment\n" + text,
+        text.replace("\n", "\n\n", 1),
+        text.replace("\n", " \n", 1),
+        text.replace(" ", "\t", 1),
+        text[:-1],
+    ]
+    if edges:
+        u, v = edges[0]
+        first = f"e {u} {v}\n"
+        texts += [
+            _canonical(n, edges + [(v, u)], ell),
+            _canonical(n, edges, ell, m=len(edges) - 1),
+            text.replace(first, f"e 0{u} {v}\n"),
+            text.replace(first, f"e {u} +{v}\n"),
+            text.replace(first, f"e {u} {v} \n"),
+            text.replace(first, f"e {u}\t{v}\n"),
+        ]
+    for mutated in texts:
+        for internable in (False, True):
+            assert _outcome(im.read_instance, mutated, internable) == _outcome(
+                _read_lines, mutated, internable
+            ), (mutated, internable)
+    # Past the interning cap only the refusal is compared: reading 32,769
+    # vertices twice per example would take seconds.
+    wide = _canonical(MAX_INTERNED_VERTICES + 1, edges, ell)
+    assert _outcome(im.read_instance, wide, True) == _outcome(_read_lines, wide, True)
 
 
 def test_write_then_read_round_trip():
