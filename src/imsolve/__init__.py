@@ -14,18 +14,14 @@ from .errors import IMSolveError
 from .gallai_edmonds import AuditReport, GEDecomposition, audit, decompose
 from .graph import Graph, LocalFeatures, edge, verify_induced_matching
 from .instances import (
-    anchored_triangle,
     gen_random,
     generate,
-    naive_branch_trap,
-    paw_with_tail,
     read_instance,
     reduce_dominating_set,
     reduce_multicolored_is,
-    triangle_star_graph,
     write_instance,
 )
-from .kernel import Instance, ReductionStep, TerminalState, reduce_instance
+from .kernel import Answer, Instance, ReductionStep, reduce_instance
 from .matching import (
     is_factor_critical,
     maximum_matching,
@@ -44,15 +40,12 @@ from .oracle import (
     recognize_cameron_walker,
 )
 from .solver import (
-    Answer,
     BranchChoice,
     Rule,
     SearchStats,
     SolveResult,
     choose_rule,
     expand,
-    find_degree2_survivor,
-    find_path4,
     solve_auto,
     solve_imba,
     solve_imbtg,
@@ -75,8 +68,6 @@ __all__ = [
     "SearchStats",
     "SolveResult",
     "StructureClass",
-    "TerminalState",
-    "anchored_triangle",
     "audit",
     "brute_ds",
     "brute_im",
@@ -88,16 +79,12 @@ __all__ = [
     "decompose",
     "edge",
     "expand",
-    "find_degree2_survivor",
-    "find_path4",
     "gen_random",
     "generate",
     "is_factor_critical",
     "is_triangle_star",
     "maximum_matching",
-    "naive_branch_trap",
     "parameters",
-    "paw_with_tail",
     "read_instance",
     "recognize_cameron_walker",
     "reduce_dominating_set",
@@ -106,7 +93,6 @@ __all__ = [
     "solve_auto",
     "solve_imba",
     "solve_imbtg",
-    "triangle_star_graph",
     "verify_induced_matching",
     "write_instance",
 ]

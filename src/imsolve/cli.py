@@ -26,6 +26,7 @@ from pathlib import Path
 
 from .errors import IMSolveError, InvalidSpecError, TooLargeError
 from .gallai_edmonds import audit, decompose
+from .graph import _check_internable, sort_labels
 from .instances import (
     generate,
     read_instance,
@@ -36,13 +37,13 @@ from .instances import (
 from .kernel import Instance
 from .oracle import (
     DEFAULT_CAP,
+    _require_cap,
     brute_is,
     brute_mm,
     classify_tight,
     parameters,
     recognize_cameron_walker,
 )
-from .graph import sort_labels
 from .solver import Answer, SolveResult, solve_auto, solve_imba, solve_imbtg
 
 EXIT_OK = 0
@@ -122,9 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str, ell_override, internable: bool = False) -> Instance:
+def _load(path, ell_override, check=None) -> Instance:
     text = Path(path).read_text()
-    inst = read_instance(text, internable=internable)
+    inst = read_instance(text, check=check)
     if ell_override is not None:
         inst = Instance(inst.graph, ell_override)
     return inst
@@ -159,14 +160,15 @@ def _answer_exit(answer: Answer, remap: bool) -> int:
     return EXIT_OK
 
 
-def _solve_command(args, command: str, engine: str, solve) -> int:
-    """Run ``solve(inst, trace)`` with the ``--trace`` file open and report.
+def _solve_command(args, command: str, engine: str, solve, check) -> int:
+    """Read the instance, refusing a header that fails ``check``, run
+    ``solve(inst, trace)`` with the ``--trace`` file open and report.
 
     ``solve`` returns the result and its budget mode; only the
     decomposition-guided engine has a mode, and only it reports the size of
     its search in the text output.
     """
-    inst = _load(args.path, args.ell, internable=True)
+    inst = _load(args.path, args.ell, check)
     handle, trace = _open_trace(args.trace)
     try:
         result, mode = solve(inst, trace)
@@ -211,17 +213,23 @@ def _cmd_solve(args) -> int:
             return result, "oracle-k"
         return solve_auto(inst, trace=trace), "auto"
 
-    return _solve_command(args, "solve", "imba", solve)
+    def check(n):
+        _check_internable(n)
+        if args.oracle_k:
+            _require_cap(n, args.cap)
+
+    return _solve_command(args, "solve", "imba", solve, check)
 
 
 def _cmd_solve_tg(args) -> int:
-    return _solve_command(
-        args, "solve-tg", "imbtg", lambda inst, trace: (solve_imbtg(inst, trace=trace), None)
-    )
+    def solve(inst, trace):
+        return solve_imbtg(inst, trace=trace), None
+
+    return _solve_command(args, "solve-tg", "imbtg", solve, _check_internable)
 
 
 def _cmd_oracle(args) -> int:
-    inst = _load(args.path, args.ell)
+    inst = _load(args.path, args.ell, lambda n: _require_cap(n, args.cap))
     report = parameters(inst.graph, inst.ell, cap=args.cap)
     doc = {"command": "oracle", "instance": args.path, "budget": report.budget}
     doc.update(asdict(report))
@@ -330,7 +338,7 @@ def _cmd_bench(args) -> int:
         raise NotADirectoryError(f"not a directory: {args.directory!r}")
     rows = []
     for path in sorted(directory.glob("*.im")):
-        inst = read_instance(path.read_text(), internable=True)
+        inst = _load(path, None, _check_internable)
         if args.engine == "tg":
             result = solve_imbtg(inst)
         else:

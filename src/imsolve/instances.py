@@ -1,4 +1,4 @@
-"""Instance I/O, shared fixtures, generators and hardness reductions.
+"""Instance I/O, generators and hardness reductions.
 
 File format (DIMACS-flavored, bit-exact when written by this module):
 
@@ -31,65 +31,10 @@ from .errors import (
     NotACliqueError,
     ParseError,
 )
-from .graph import MAX_INTERNED_VERTICES, Graph, _check_internable, sort_labels
+from .graph import Graph, sort_labels
 from .kernel import Instance
 
 MAX_VERTICES = 1_000_000
-
-# -- shared fixtures ----------------------------------------------------------
-
-
-def naive_branch_trap() -> Graph:
-    """9-vertex graph on which deleting the cut vertex ``s`` changes neither
-    the maximum matching size nor the independence number (both stay 4),
-    so naive branching on it makes no progress."""
-    labels = ["s", "ru1", "ru2", "rb1", "rb2", "su", "lm", "lu", "lb"]
-    edges = [
-        ("ru1", "ru2"),
-        ("ru1", "s"),
-        ("ru2", "s"),
-        ("ru1", "rb1"),
-        ("rb1", "ru2"),
-        ("ru1", "rb2"),
-        ("rb2", "ru2"),
-        ("s", "su"),
-        ("su", "lm"),
-        ("lm", "s"),
-        ("lu", "lm"),
-        ("lm", "lb"),
-        ("lb", "lu"),
-    ]
-    return Graph.build(labels, edges)
-
-
-def triangle_star_graph(triangles: int) -> Graph:
-    """A triangle star with ``triangles`` triangles sharing the center ``s``."""
-    if triangles < 1:
-        raise ValueError("a triangle star has at least one triangle")
-    labels = ["s"]
-    edges = []
-    for i in range(1, triangles + 1):
-        u, w = f"u{i}", f"w{i}"
-        labels += [u, w]
-        edges += [("s", u), ("s", w), (u, w)]
-    return Graph.build(labels, edges)
-
-
-def paw_with_tail() -> Graph:
-    """Triangle {a, b, c} plus the path a - x - y."""
-    return Graph.build(
-        ["a", "b", "c", "x", "y"],
-        [("a", "b"), ("a", "c"), ("b", "c"), ("a", "x"), ("x", "y")],
-    )
-
-
-def anchored_triangle() -> Graph:
-    """Triangle {a, b, c} with z adjacent to a and b, and a pendant y on z."""
-    return Graph.build(
-        ["a", "b", "c", "z", "y"],
-        [("a", "b"), ("a", "c"), ("b", "c"), ("z", "a"), ("z", "b"), ("z", "y")],
-    )
-
 
 # -- file format --------------------------------------------------------------
 
@@ -109,22 +54,23 @@ _CANONICAL = re.compile(
 _NO_NEIGHBOURS = frozenset()
 
 
-def read_instance(text: str, *, internable: bool = False) -> Instance:
+def read_instance(text: str, *, check=None) -> Instance:
     """Parse an instance file; raises ParseError / InconsistentHeaderError.
 
     A file in the canonical form that ``write_instance`` emits is read in
     bulk.  Anything else, and a canonical file that fails a check, is read
     line by line, with the same result; that loop alone accepts comments,
     blank lines, other whitespace and CRLF, and raises every error, with
-    its line number.  With ``internable``, a header of more vertices than
-    ``Interned`` takes raises TooLargeError before any vertex is built.
+    its line number.  A header of more than ``MAX_VERTICES`` vertices is a
+    ParseError.  ``check``, when given, is the caller's own size test:
+    both readers call it on the header's vertex count, before any vertex
+    is built, so a command refuses a file past its cap from the header.
     """
-    limit = MAX_INTERNED_VERTICES if internable else MAX_VERTICES
-    inst = _read_canonical(text, limit)
-    return _read_lines(text, internable) if inst is None else inst
+    inst = _read_canonical(text, check)
+    return _read_lines(text, check) if inst is None else inst
 
 
-def _read_canonical(text: str, max_vertices: int) -> Instance | None:
+def _read_canonical(text: str, check) -> Instance | None:
     """The instance of a canonical, valid ``text``, or None.
 
     Endpoints are converted once per distinct string, and checked in bulk.
@@ -133,8 +79,10 @@ def _read_canonical(text: str, max_vertices: int) -> Instance | None:
     if match is None:
         return None
     n, m, ell = map(int, match.groups())
-    if n > max_vertices:
+    if n > MAX_VERTICES:
         return None
+    if check is not None:
+        check(n)
     tokens = text.split()
     heads, tails = tokens[6::3], tokens[7::3]
     if len(heads) != m:
@@ -153,7 +101,7 @@ def _read_canonical(text: str, max_vertices: int) -> Instance | None:
     return _instance(n, nbrs, ell)
 
 
-def _read_lines(text: str, internable: bool) -> Instance:
+def _read_lines(text: str, check) -> Instance:
     """The reference reader: one pass over the lines.
 
     Each edge goes straight into the neighbour sets of its endpoints, which
@@ -184,8 +132,8 @@ def _read_lines(text: str, internable: bool) -> Instance:
                 raise ParseError(
                     f"header declares {n} vertices, more than {MAX_VERTICES}", lineno
                 )
-            if internable:
-                _check_internable(n)
+            if check is not None:
+                check(n)
             header = (n, m, ell)
         elif tokens[0] == "e":
             if header is None:

@@ -244,21 +244,23 @@ def _pop_apex(heap, adj, live: int):
     return None
 
 
-class TerminalState(Enum):
-    CONTINUE = "continue"
+class Answer(str, Enum):
+    """The outcome of a search, and of a node that closes."""
+
     YES = "yes"
     NO = "no"
     EXHAUSTED = "exhausted"
 
 
-def node_state(n: int, ell: int, depth: int, budget: int) -> TerminalState:
-    """Whether a reduced node with ``n`` vertices closes: yes at target 0,
-    no with too few vertices left, exhausted at the budget, in that order,
-    so a solution at the budget boundary is still reported."""
+def node_state(n: int, ell: int, depth: int, budget: int) -> Answer | None:
+    """How a reduced node with ``n`` vertices closes, or None while it is
+    open: yes at target 0, no with too few vertices left, exhausted at the
+    budget, in that order, so a solution at the budget boundary is still
+    reported."""
     if ell == 0:
-        return TerminalState.YES
+        return Answer.YES
     if n < 2 * ell:
-        return TerminalState.NO
+        return Answer.NO
     if depth >= budget:
-        return TerminalState.EXHAUSTED
-    return TerminalState.CONTINUE
+        return Answer.EXHAUSTED
+    return None

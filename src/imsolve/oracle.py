@@ -37,16 +37,14 @@ TIGHT_PENDANT_BIPARTITE = "tight-pendant-bipartite"
 NOT_TIGHT = "not-tight"
 
 
-def _require_cap(g: Graph, cap: int):
-    if g.vertex_count > cap:
-        raise TooLargeError(
-            f"{g.vertex_count} vertices exceeds the brute-force cap ({cap})"
-        )
+def _require_cap(n: int, cap: int):
+    """Raise TooLargeError if the brute force may not take ``n`` vertices."""
+    if n > cap:
+        raise TooLargeError(f"{n} vertices exceeds the brute-force cap ({cap})")
     depth = sys.getrecursionlimit() // 2  # a level per edge or vertex taken
-    if g.vertex_count > depth:
+    if n > depth:
         raise TooLargeError(
-            f"{g.vertex_count} vertices exceeds the brute-force recursion "
-            f"cap ({depth})"
+            f"{n} vertices exceeds the brute-force recursion cap ({depth})"
         )
 
 
@@ -67,7 +65,7 @@ def brute_im(g: Graph, cap: int = DEFAULT_CAP):
     unblocked vertices.  The witness is the first maximum found, which
     makes it deterministic.
     """
-    _require_cap(g, cap)
+    _require_cap(g.vertex_count, cap)
     edges = g.edges()
     m = len(edges)
     n = g.vertex_count
@@ -98,7 +96,7 @@ def brute_im(g: Graph, cap: int = DEFAULT_CAP):
 
 def brute_mm(g: Graph, cap: int = DEFAULT_CAP) -> int:
     """Exact maximum matching size by edge enumeration (oracle for blossom)."""
-    _require_cap(g, cap)
+    _require_cap(g.vertex_count, cap)
     edges = g.edges()
     m = len(edges)
     n = g.vertex_count
@@ -122,7 +120,7 @@ def brute_mm(g: Graph, cap: int = DEFAULT_CAP) -> int:
 
 def brute_is(g: Graph, cap: int = DEFAULT_CAP) -> int:
     """Exact maximum independent set size (branch on a max-degree vertex)."""
-    _require_cap(g, cap)
+    _require_cap(g.vertex_count, cap)
 
     def go(adj):
         if not adj:
@@ -144,7 +142,7 @@ def brute_is(g: Graph, cap: int = DEFAULT_CAP) -> int:
 
 def brute_vc(g: Graph, cap: int = DEFAULT_CAP) -> int:
     """Exact minimum vertex cover size (branch on an endpoint of an edge)."""
-    _require_cap(g, cap)
+    _require_cap(g.vertex_count, cap)
 
     def go(adj):
         u = None
@@ -164,7 +162,7 @@ def brute_vc(g: Graph, cap: int = DEFAULT_CAP) -> int:
 
 def brute_ds(g: Graph, cap: int = DEFAULT_CAP) -> int:
     """Exact minimum dominating set size by subset enumeration."""
-    _require_cap(g, cap)
+    _require_cap(g.vertex_count, cap)
     verts = g.vertices
     n = len(verts)
     if n == 0:
@@ -209,7 +207,7 @@ class ParameterReport:
 
 def parameters(g: Graph, ell: int, cap: int = DEFAULT_CAP) -> ParameterReport:
     """Exact parameter report for the instance ``(g, ell)``."""
-    _require_cap(g, cap)
+    _require_cap(g.vertex_count, cap)
     mm = brute_mm(g, cap)
     is_ = brute_is(g, cap)
     im, _ = brute_im(g, cap)

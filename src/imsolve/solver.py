@@ -35,9 +35,9 @@ The search interns its input once (``graph.Interned``) and explores
 vertex-deleted subgraphs of it as int masks, and builds no ``Graph``:
 reductions, terminal tests, the memo, the decomposition, the matching
 bound, the rule choice and the children all work on masks (see
-``_search``).  ``choose_rule``, ``expand``, ``find_path4`` and
-``find_degree2_survivor`` are the label-level faces of the mask rules: each
-interns its graph and calls the one implementation the search uses.
+``_search``).  ``choose_rule`` and ``expand`` are the label-level faces of
+the mask rules: each interns its graph and calls the one implementation the
+search uses.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from enum import Enum
 from .errors import PreconditionViolatedError
 from .gallai_edmonds import GEDecomposition, decompose_mask, mask_matching
 from .graph import Graph, Interned, indices, lowest_two, verify_induced_matching
-from .kernel import Instance, TerminalState, _scan, node_state, reduce_mask
+from .kernel import Answer, Instance, _scan, node_state, reduce_mask
 
 
 class Rule(str, Enum):
@@ -81,7 +81,8 @@ class BranchChoice:
       four-path: u, v, w, x (the path), vp/v1/v2 and wp/w1/w2 (a vertex of
         degree two after deleting v resp. w, with its two neighbors).
 
-    ``_CHILDREN`` lists the vertices each child of a rule deletes.
+    ``_CHILDREN`` lists the vertices each child of a rule deletes; the naive
+    rule's children are built in ``_search``.
     """
 
     rule: Rule
@@ -97,12 +98,6 @@ class SearchStats:
     # No leaves cut by the matching bound and by the memo (solve_auto only).
     bound_prunes: int = 0
     memo_hits: int = 0
-
-
-class Answer(str, Enum):
-    YES = "yes"
-    NO = "no"
-    EXHAUSTED = "exhausted"
 
 
 @dataclass
@@ -162,7 +157,16 @@ def _anchors(adj, candidates: int, pool: int) -> list:
 
 
 def _path4(adj, comp: int):
-    """``find_path4`` on the vertex mask ``comp``."""
+    """An ordered path on four distinct vertices of the vertex mask
+    ``comp``, as indices.
+
+    Exists whenever the component has at least four vertices and is not a
+    star; returns None otherwise.  Constructive: pivot on a maximum-degree
+    vertex v.  If v sees everything, any adjacent pair among its neighbors
+    extends to a path; otherwise some neighbor of v has a neighbor outside
+    v's closed neighborhood.  Ties break to the smallest index, which is
+    the smallest label.
+    """
     size = comp.bit_count()
     if size < 4:
         return None
@@ -184,7 +188,14 @@ def _path4(adj, comp: int):
 
 
 def _survivor(adj, comp: int, v: int):
-    """``find_degree2_survivor`` on the vertex mask ``comp`` and index ``v``."""
+    """A vertex of the vertex mask ``comp`` with two neighbors there after
+    deleting the index ``v``.
+
+    Guaranteed to exist when the component induces a factor-critical graph
+    that is not a triangle star; its absence indicates a decomposition bug,
+    so it raises rather than returning a sentinel.  Returns the indices
+    ``(vertex, nbr1, nbr2)`` with smallest-index ties.
+    """
     rest = comp & ~(1 << v)
     found = _vertex_branch(adj, rest, rest)
     if found is None:
@@ -286,7 +297,6 @@ def _choose(adj, live: int, a: int, c: int, comps) -> tuple:
 _CHILDREN = {
     Rule.C_VERTEX: ("v", "u", "w"),
     Rule.DEGREE_TWO: ("v", "u", "w"),
-    Rule.NAIVE: ("u", "v", "w"),
     Rule.A_EDGE: ("u", "v", "N u v"),
     Rule.TRIANGLE: ("ua", "u va", "u v", "u w", "v ua", "v u", "v w"),
     Rule.TRIANGLE_STAR: ("ua", "u v", "u va", "u vc", "uc v", "uc va", "uc vc"),
@@ -327,37 +337,6 @@ def _children(adj, live: int, rule: Rule, actors: dict) -> list:
 # -- the label-level interface ---------------------------------------------------
 
 
-def _index(bits: Interned, v) -> int:
-    return bits.bit[v].bit_length() - 1
-
-
-def find_path4(g: Graph, component):
-    """An ordered path on four distinct vertices inside ``component``.
-
-    Exists whenever the component has at least four vertices and is not a
-    star; returns None otherwise.  Constructive: pivot on a maximum-degree
-    vertex v.  If v sees everything, any adjacent pair among its neighbors
-    extends to a path; otherwise some neighbor of v has a neighbor outside
-    v's closed neighborhood.  Ties break to the smallest label.
-    """
-    bits = Interned(g)
-    path = _path4(bits.adj, bits.mask_of(frozenset(component)))
-    return None if path is None else tuple(map(bits.labels.__getitem__, path))
-
-
-def find_degree2_survivor(g: Graph, component, v):
-    """A vertex of the component with two neighbors there after deleting v.
-
-    Guaranteed to exist when the component induces a factor-critical graph
-    that is not a triangle star; its absence indicates a decomposition bug,
-    so it raises rather than returning a sentinel.  Returns
-    ``(vertex, nbr1, nbr2)`` with smallest-label ties.
-    """
-    bits = Interned(g)
-    found = _survivor(bits.adj, bits.mask_of(frozenset(component)), _index(bits, v))
-    return tuple(map(bits.labels.__getitem__, found))
-
-
 def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
     """Pick the highest-priority applicable branching rule.
 
@@ -390,7 +369,7 @@ def expand(g: Graph, choice: BranchChoice) -> list:
     no graph is built here.
     """
     bits = Interned(g)
-    actors = {k: _index(bits, v) for k, v in choice.actors.items()}
+    actors = {k: bits.bit[v].bit_length() - 1 for k, v in choice.actors.items()}
     return [
         set(bits.labels_of(mask))
         for mask in _children(bits.adj, bits.full, choice.rule, actors)
@@ -487,23 +466,24 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
         n = live.bit_count()
         state = node_state(n, ell, depth, budget)
         rule = None
-        if state is TerminalState.CONTINUE:
+        if state is None:
             if naive:
                 rule, actors = _vertex_choice(adj, live, Rule.NAIVE, live)
                 name = naive_name
-                # _CHILDREN[Rule.NAIVE] deletes u, then v, then w.  Through
-                # _children, naive ops ran about 5% slower: 0.0351-0.0371 to
-                # 0.0369-0.0390 s over 6 runs (Python 3.11, 2 cores).
+                # The naive children delete u, then v, then w, and are built
+                # here: through a ``_CHILDREN`` row and ``_children``, naive
+                # ops ran about 5% slower, 0.0351-0.0371 to 0.0369-0.0390 s
+                # over 6 runs (Python 3.11, 2 cores).
                 children = [1 << actors["w"], 1 << actors["v"], 1 << actors["u"]]
             elif prune and memo.get(live, ell + 1) <= ell:
                 stats.memo_hits += 1
-                state = TerminalState.NO
+                state = Answer.NO
             else:
                 matched = mask_matching(adj, live)
                 # Twice the matching number is n minus the exposed vertices.
                 if prune and n - matched[2].count(-1) < 2 * ell:
                     stats.bound_prunes += 1
-                    state = TerminalState.NO
+                    state = Answer.NO
                 else:
                     d, a, comps = decompose_mask(adj, live, matched)
                     rule, actors = _choose(adj, live, a, live & ~(d | a), comps)
@@ -516,12 +496,12 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
                 "depth": depth,
                 "n": n,
                 "ell": ell,
-                "state": state.value,
+                "state": state or "continue",
                 "rule": name if rule else None,
                 "actors": {k: labels[i] for k, i in actors.items()} if rule else None,
             }
             trace(json.dumps(record, sort_keys=True, default=str))
-        if state is TerminalState.YES:
+        if state is Answer.YES:
             certificate = frozenset((labels[i], labels[j]) for i, j in harvested)
             if len(certificate) != inst.ell or not verify_induced_matching(
                 inst.graph, certificate
@@ -530,7 +510,7 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
                     "solver produced an invalid certificate; this is a bug"
                 )
             return SolveResult(Answer.YES, certificate, stats)
-        if state is TerminalState.EXHAUSTED:
+        if state is Answer.EXHAUSTED:
             exhausted = True
         elif rule is not None:
             stack.append((live, ell, children, harvested))

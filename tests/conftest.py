@@ -31,6 +31,58 @@ def star(leaves):
     return build(leaves + 1, [(1, i) for i in range(2, leaves + 2)])
 
 
+def naive_branch_trap():
+    """9-vertex graph on which deleting the cut vertex ``s`` changes neither
+    the maximum matching size nor the independence number (both stay 4),
+    so naive branching on it makes no progress."""
+    labels = ["s", "ru1", "ru2", "rb1", "rb2", "su", "lm", "lu", "lb"]
+    edges = [
+        ("ru1", "ru2"),
+        ("ru1", "s"),
+        ("ru2", "s"),
+        ("ru1", "rb1"),
+        ("rb1", "ru2"),
+        ("ru1", "rb2"),
+        ("rb2", "ru2"),
+        ("s", "su"),
+        ("su", "lm"),
+        ("lm", "s"),
+        ("lu", "lm"),
+        ("lm", "lb"),
+        ("lb", "lu"),
+    ]
+    return im.Graph.build(labels, edges)
+
+
+def triangle_star_graph(triangles):
+    """A triangle star with ``triangles`` triangles sharing the center ``s``."""
+    if triangles < 1:
+        raise ValueError("a triangle star has at least one triangle")
+    labels = ["s"]
+    edges = []
+    for i in range(1, triangles + 1):
+        u, w = f"u{i}", f"w{i}"
+        labels += [u, w]
+        edges += [("s", u), ("s", w), (u, w)]
+    return im.Graph.build(labels, edges)
+
+
+def paw_with_tail():
+    """Triangle {a, b, c} plus the path a - x - y."""
+    return im.Graph.build(
+        ["a", "b", "c", "x", "y"],
+        [("a", "b"), ("a", "c"), ("b", "c"), ("a", "x"), ("x", "y")],
+    )
+
+
+def anchored_triangle():
+    """Triangle {a, b, c} with z adjacent to a and b, and a pendant y on z."""
+    return im.Graph.build(
+        ["a", "b", "c", "z", "y"],
+        [("a", "b"), ("a", "c"), ("b", "c"), ("z", "a"), ("z", "b"), ("z", "y")],
+    )
+
+
 def is_connected(g):
     return len(g.connected_components()) <= 1
 

@@ -11,7 +11,7 @@ import pytest
 
 import imsolve as im
 from imsolve.gallai_edmonds import audit, decompose
-from imsolve.kernel import Instance, TerminalState, node_state, reduce_instance
+from imsolve.kernel import Instance, node_state, reduce_instance
 from imsolve.oracle import (
     NOT_CAMERON_WALKER,
     NOT_TIGHT,
@@ -21,7 +21,7 @@ from imsolve.oracle import (
 )
 from imsolve.solver import Answer, choose_rule, expand, solve_auto, solve_imba, solve_imbtg
 
-from conftest import all_labeled_graphs, is_connected
+from conftest import all_labeled_graphs, is_connected, naive_branch_trap
 
 RANDOM_COUNT = 20000
 CORPUS_SEED = 1_000_000
@@ -146,7 +146,7 @@ def test_criterion_3_measure_drops():
             steps += 1
             g, ell = g2, ell2
         state = node_state(reduced.graph.vertex_count, reduced.ell, depth, budget)
-        if state is not TerminalState.CONTINUE:
+        if state is not None:
             return
         choice = choose_rule(reduced.graph, decompose(reduced.graph))
         parent = potential(reduced.graph, reduced.ell)
@@ -346,7 +346,7 @@ def test_criterion_7_certificates(corpus, sweep, budget_sweep):
 
 
 def test_criterion_8_fixture_regression():
-    g = im.naive_branch_trap()
+    g = naive_branch_trap()
     h = g.delete_vertices({"s"})
     values = (
         len(im.maximum_matching(g)),

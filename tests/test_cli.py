@@ -1,6 +1,8 @@
 import json
+import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,14 @@ from imsolve import cli
 from imsolve.instances import MAX_VERTICES
 from imsolve.kernel import Instance
 
-from conftest import build, cycle, path
+from conftest import (
+    build,
+    cycle,
+    naive_branch_trap,
+    path,
+    paw_with_tail,
+    triangle_star_graph,
+)
 
 
 @pytest.fixture()
@@ -21,10 +30,10 @@ def files(tmp_path):
         p.write_text(im.write_instance(inst))
         paths[name] = str(p)
 
-    put("paw.im", Instance(im.paw_with_tail(), 2))
+    put("paw.im", Instance(paw_with_tail(), 2))
     put("c5-l2.im", Instance(cycle(5), 2))
-    put("fig2.im", Instance(im.naive_branch_trap(), 4))
-    put("tstar.im", Instance(im.triangle_star_graph(4), 4))
+    put("fig2.im", Instance(naive_branch_trap(), 4))
+    put("tstar.im", Instance(triangle_star_graph(4), 4))
     paths["dir"] = str(tmp_path)
     return paths
 
@@ -100,9 +109,9 @@ def test_oracle_cap_exceeded_exit_3(capsys, tmp_path):
 
 def test_hostile_inputs_exit_3(capsys, tmp_path):
     # A path too long for the brute-force recursion, under a cap that
-    # admits it, and headers of more vertices than interning takes, which
-    # are refused before a vertex is built: a million of them took about
-    # 280 MB.
+    # admits it, and headers of more vertices than interning or the
+    # brute-force cap takes, which are refused before a vertex is built: a
+    # million of them took about 280 MB in solve and 97 MB in oracle.
     n = 2100
     long_path = tmp_path / "path.im"
     long_path.write_text(im.write_instance(Instance(path(n), 1)))
@@ -116,7 +125,13 @@ def test_hostile_inputs_exit_3(capsys, tmp_path):
         huge = tmp_path / f"huge{size}.im"
         huge.write_text(f"p im {size} 0 1\n")
         wide = f"error: {size} vertices exceeds the interning cap (32768)\n"
-        cases += [(["solve", str(huge)], wide), (["solve-tg", str(huge)], wide)]
+        capped = f"error: {size} vertices exceeds the brute-force cap (16)\n"
+        cases += [
+            (["solve", str(huge)], wide),
+            (["solve-tg", str(huge)], wide),
+            (["solve", str(huge), "--oracle-k"], wide),
+            (["oracle", str(huge)], capped),
+        ]
     for argv, message in cases:
         tracemalloc.start()
         try:
@@ -305,3 +320,25 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as info:
         cli.main(["solve"])  # missing path
     assert info.value.code == 2
+
+
+def test_public_api_and_the_readme_tour():
+    # The names the CLI, the search, the benchmark and the oracles use, and
+    # nothing only the tests call; the README's tour must run against them.
+    assert sorted(im.__all__) == [
+        "Answer", "AuditReport", "BranchChoice", "GEDecomposition", "Graph",
+        "IMSolveError", "Instance", "LocalFeatures", "ParameterReport",
+        "ReductionStep", "Rule", "SearchStats", "SolveResult", "StructureClass",
+        "audit", "brute_ds", "brute_im", "brute_is", "brute_mm", "brute_vc",
+        "choose_rule", "classify_tight", "decompose", "edge", "expand",
+        "gen_random", "generate", "is_factor_critical", "is_triangle_star",
+        "maximum_matching", "parameters", "read_instance",
+        "recognize_cameron_walker", "reduce_dominating_set", "reduce_instance",
+        "reduce_multicolored_is", "solve_auto", "solve_imba", "solve_imbtg",
+        "verify_induced_matching", "write_instance",
+    ]
+    for name in im.__all__:
+        assert getattr(im, name) is not None, name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme, re.S)
+    exec(tour.group(1), {})

@@ -16,10 +16,12 @@ from imsolve.graph import Interned
 
 from conftest import (
     all_labeled_graphs,
+    anchored_triangle,
     build,
     complete,
     cycle,
     mixed_labels,
+    naive_branch_trap,
     random_graphs,
     star,
 )
@@ -42,7 +44,7 @@ def test_perfectly_matched_clique():
 
 
 def test_anchored_triangle_decomposition():
-    dec = decompose(im.anchored_triangle())
+    dec = decompose(anchored_triangle())
     assert dec.d == frozenset({"a", "b", "c", "y"})
     assert dec.a == frozenset({"z"})
     assert dec.c == frozenset()
@@ -56,7 +58,7 @@ def test_factor_critical_graph_is_all_d():
 
 
 def test_trap_fixture_decomposition():
-    dec = decompose(im.naive_branch_trap())
+    dec = decompose(naive_branch_trap())
     assert dec.d == frozenset({"s", "su", "lm", "lu", "lb", "rb1", "rb2"})
     assert dec.a == frozenset({"ru1", "ru2"})
     assert dec.c == frozenset()
@@ -154,7 +156,7 @@ def test_audit_passes_on_random_graphs():
 
 
 def test_audit_flags_tampering():
-    g = im.anchored_triangle()
+    g = anchored_triangle()
     dec = decompose(g)
     tampered = GEDecomposition(
         d=dec.d - {"y"},

@@ -13,7 +13,14 @@ from imsolve.errors import (
     UnknownEndpointError,
     UnknownVertexError,
 )
-from imsolve.graph import MAX_INTERNED_VERTICES, Interned, edge, label_key, sort_labels
+from imsolve.graph import (
+    MAX_INTERNED_VERTICES,
+    Interned,
+    _check_internable,
+    edge,
+    label_key,
+    sort_labels,
+)
 
 from conftest import (
     all_labeled_graphs,
@@ -21,8 +28,11 @@ from conftest import (
     complete,
     cycle,
     graphs,
+    naive_branch_trap,
     path,
+    paw_with_tail,
     random_graphs,
+    triangle_star_graph,
 )
 
 
@@ -34,7 +44,7 @@ def test_build_smallest():
 
 
 def test_build_fig2_shape():
-    g = im.naive_branch_trap()
+    g = naive_branch_trap()
     assert g.vertex_count == 9
     assert g.edge_count == 13
 
@@ -68,7 +78,7 @@ def test_delete_vertices_identity_and_empty():
 
 def test_interning_refuses_a_graph_past_its_cap():
     # 2**15 + 1 isolated vertices; the check runs before any mask is built,
-    # and with ``internable`` before the file's vertices are.
+    # and, passed to ``read_instance``, before the file's vertices are.
     text = f"p im {MAX_INTERNED_VERTICES + 1} 0 1\n"
     g = im.read_instance(text).graph
     message = r"32769 vertices exceeds the interning cap \(32768\)"
@@ -76,13 +86,13 @@ def test_interning_refuses_a_graph_past_its_cap():
         Interned(g)
     for text in (text, "c\n" + text):  # the bulk reader and the line loop
         with pytest.raises(TooLargeError, match=message):
-            im.read_instance(text, internable=True)
+            im.read_instance(text, check=_check_internable)
     with pytest.raises(TooLargeError):
         im.solve_auto(im.Instance(g, 1))
 
 
 def test_delete_keeps_matching_number_on_trap():
-    g = im.naive_branch_trap()
+    g = naive_branch_trap()
     h = g.delete_vertices({"s"})
     assert h.vertex_count == 8
     assert len(im.maximum_matching(h)) == 4
@@ -94,7 +104,7 @@ def test_connected_components():
     comps = g.connected_components()
     assert comps == (frozenset({1, 2}), frozenset({3, 4}))
     assert build(0).connected_components() == ()
-    assert len(im.naive_branch_trap().connected_components()) == 1
+    assert len(naive_branch_trap().connected_components()) == 1
 
 
 def test_local_features_single_edge():
@@ -105,7 +115,7 @@ def test_local_features_single_edge():
 
 
 def test_local_features_triangle_star():
-    feats = im.triangle_star_graph(4).local_features()
+    feats = triangle_star_graph(4).local_features()
     assert len(feats.pendant_triangles) == 4
     assert all(v == "s" for _, v, _ in feats.pendant_triangles)
 
@@ -130,7 +140,7 @@ def test_pendant_triangle_pairs_are_disjoint_and_hold_no_center():
     rng = random.Random(71)
     stars = []
     for k in range(1, 6):
-        g = im.triangle_star_graph(k)
+        g = triangle_star_graph(k)
         for _ in range(10):
             names = dict(zip(g.vertices, rng.sample(range(100), g.vertex_count)))
             names.update({v: f"v{names[v]}" for v in rng.sample(g.vertices, k)})
@@ -151,7 +161,7 @@ def test_pendant_triangle_pairs_are_disjoint_and_hold_no_center():
 
 
 def test_verify_induced_matching_cases():
-    paw = im.paw_with_tail()
+    paw = paw_with_tail()
     assert im.verify_induced_matching(paw, {("b", "c"), ("x", "y")})
     assert not im.verify_induced_matching(paw, {("a", "b"), ("a", "x")})
     p4 = path(4)

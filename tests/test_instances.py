@@ -15,7 +15,7 @@ from imsolve.errors import (
     NotACliqueError,
     ParseError,
 )
-from imsolve.graph import MAX_INTERNED_VERTICES
+from imsolve.graph import MAX_INTERNED_VERTICES, _check_internable
 from imsolve.instances import (
     MAX_VERTICES,
     _read_canonical,
@@ -26,7 +26,16 @@ from imsolve.instances import (
 from imsolve.kernel import Instance
 from imsolve.oracle import NOT_CAMERON_WALKER, NOT_TIGHT, classify_tight
 
-from conftest import build, complete, path, random_graphs
+from conftest import (
+    anchored_triangle,
+    build,
+    complete,
+    naive_branch_trap,
+    path,
+    paw_with_tail,
+    random_graphs,
+    triangle_star_graph,
+)
 
 
 def test_read_minimal():
@@ -97,9 +106,9 @@ def _canonical(n, edges, ell, m=None):
     return f"p im {n} {m} {ell}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
 
 
-def _outcome(read, text, internable):
+def _outcome(read, text, check):
     try:
-        inst = read(text, internable=internable)
+        inst = read(text, check=check)
     except IMSolveError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
     return list(inst.graph._adj.items()), inst.ell
@@ -109,7 +118,7 @@ def _outcome(read, text, internable):
 def test_bulk_read_equals_the_line_loop(case):
     n, edges, ell = case
     text = _canonical(n, edges, ell)
-    assert _read_canonical(text, MAX_VERTICES) is not None
+    assert _read_canonical(text, None) is not None
     texts = [
         text,
         _canonical(n, edges + [(0, max(n, 1))], ell),
@@ -139,14 +148,16 @@ def test_bulk_read_equals_the_line_loop(case):
             text.replace(first, f"e {u}\t{v}\n"),
         ]
     for mutated in texts:
-        for internable in (False, True):
-            assert _outcome(im.read_instance, mutated, internable) == _outcome(
-                _read_lines, mutated, internable
-            ), (mutated, internable)
+        for check in (None, _check_internable):
+            assert _outcome(im.read_instance, mutated, check) == _outcome(
+                _read_lines, mutated, check
+            ), (mutated, check)
     # Past the interning cap only the refusal is compared: reading 32,769
     # vertices twice per example would take seconds.
     wide = _canonical(MAX_INTERNED_VERTICES + 1, edges, ell)
-    assert _outcome(im.read_instance, wide, True) == _outcome(_read_lines, wide, True)
+    assert _outcome(im.read_instance, wide, _check_internable) == _outcome(
+        _read_lines, wide, _check_internable
+    )
 
 
 def test_write_then_read_round_trip():
@@ -161,7 +172,7 @@ def test_write_then_read_round_trip():
 
 
 def test_fig2_file_round_trip():
-    text = im.write_instance(Instance(im.naive_branch_trap(), 4))
+    text = im.write_instance(Instance(naive_branch_trap(), 4))
     inst = im.read_instance(text)
     assert inst.graph.vertex_count == 9
     assert inst.graph.edge_count == 13
@@ -178,13 +189,13 @@ def test_gen_random_contracts():
 
 
 def test_fixture_shapes():
-    assert im.paw_with_tail().vertex_count == 5
-    assert im.anchored_triangle().vertex_count == 5
-    g = im.triangle_star_graph(4)
+    assert paw_with_tail().vertex_count == 5
+    assert anchored_triangle().vertex_count == 5
+    g = triangle_star_graph(4)
     assert g.vertex_count == 9 and g.edge_count == 12
-    assert im.naive_branch_trap().edge_count == 13
+    assert naive_branch_trap().edge_count == 13
     with pytest.raises(ValueError, match="at least one triangle"):
-        im.triangle_star_graph(0)
+        triangle_star_graph(0)
 
 
 def test_cw_spec_triangle_star():

@@ -10,14 +10,22 @@ from imsolve.kernel import (
     RULE_ISOLATED_EDGE,
     RULE_ISOLATED_VERTEX,
     RULE_PENDANT_TRIANGLE,
+    Answer,
     Instance,
-    TerminalState,
     node_state,
     reduce_instance,
     reduce_mask,
 )
 
-from conftest import all_labeled_graphs, build, cycle, mixed_labels, random_graphs
+from conftest import (
+    all_labeled_graphs,
+    build,
+    cycle,
+    mixed_labels,
+    paw_with_tail,
+    random_graphs,
+    triangle_star_graph,
+)
 
 
 def test_instance_rejects_negative_target():
@@ -26,18 +34,18 @@ def test_instance_rejects_negative_target():
 
 
 def test_paw_with_tail_trace():
-    reduced, harvested, steps = reduce_instance(Instance(im.paw_with_tail(), 2))
+    reduced, harvested, steps = reduce_instance(Instance(paw_with_tail(), 2))
     rules = [s.rule for s in steps]
     assert rules == [RULE_PENDANT_TRIANGLE, RULE_ISOLATED_EDGE, RULE_ISOLATED_EDGE]
     assert steps[0].deleted == ("a",)
     assert harvested == frozenset({("b", "c"), ("x", "y")})
     assert reduced.ell == 0
     assert reduced.graph.vertex_count == 0
-    assert im.verify_induced_matching(im.paw_with_tail(), harvested)
+    assert im.verify_induced_matching(paw_with_tail(), harvested)
 
 
 def test_triangle_star_reduces_completely():
-    g = im.triangle_star_graph(4)
+    g = triangle_star_graph(4)
     reduced, harvested, steps = reduce_instance(Instance(g, 4))
     assert reduced.ell == 0
     assert reduced.graph.vertex_count == 0
@@ -75,7 +83,7 @@ def test_isolated_vertices_removed_first_smallest_first():
 
 
 def test_pendant_triangle_mode_toggle():
-    g = im.triangle_star_graph(1)  # one triangle: only the triangle rule acts
+    g = triangle_star_graph(1)  # one triangle: only the triangle rule acts
     reduced, _, _ = reduce_instance(Instance(g, 1), pendant_triangles=False)
     assert reduced.graph.vertex_count == 3
     reduced, harvested, _ = reduce_instance(Instance(g, 1))
@@ -298,9 +306,9 @@ def test_scan_of_a_deleted_vertex_neighbours_finds_every_feature():
 
 
 def test_node_state_order():
-    assert node_state(5, 0, 0, 0) is TerminalState.YES
-    assert node_state(3, 2, 0, 9) is TerminalState.NO
-    assert node_state(5, 2, 0, 0) is TerminalState.EXHAUSTED
-    assert node_state(5, 2, 0, 1) is TerminalState.CONTINUE
+    assert node_state(5, 0, 0, 0) is Answer.YES
+    assert node_state(3, 2, 0, 9) is Answer.NO
+    assert node_state(5, 2, 0, 0) is Answer.EXHAUSTED
+    assert node_state(5, 2, 0, 1) is None
     # the yes check precedes the budget check
-    assert node_state(0, 0, 5, 0) is TerminalState.YES
+    assert node_state(0, 0, 5, 0) is Answer.YES

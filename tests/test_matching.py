@@ -13,14 +13,16 @@ from conftest import (
     complete,
     cycle,
     is_connected,
+    naive_branch_trap,
     path,
     random_graphs,
+    triangle_star_graph,
 )
 
 
 def test_sizes_on_landmarks():
     assert len(im.maximum_matching(cycle(5))) == 2
-    assert len(im.maximum_matching(im.naive_branch_trap())) == 4
+    assert len(im.maximum_matching(naive_branch_trap())) == 4
     assert len(im.maximum_matching(complete(4))) == 2
     assert im.maximum_matching(build(0)) == frozenset()
 
@@ -83,7 +85,7 @@ def test_two_deletions_in_a_nontrivial_d_component():
 def test_factor_critical():
     assert im.is_factor_critical(cycle(5))
     assert not im.is_factor_critical(complete(4))
-    assert im.is_factor_critical(im.triangle_star_graph(4))
+    assert im.is_factor_critical(triangle_star_graph(4))
     assert not im.is_factor_critical(build(0))
     assert im.is_factor_critical(build(1))
     assert not im.is_factor_critical(path(4))

@@ -31,10 +31,13 @@ from conftest import (
     complete,
     cycle,
     is_connected,
+    naive_branch_trap,
     path,
+    paw_with_tail,
     random_bipartite,
     random_graphs,
     star,
+    triangle_star_graph,
 )
 
 
@@ -63,7 +66,7 @@ def test_brute_im_witness_verifies():
 
 
 def test_brute_counts_landmarks():
-    fig2 = im.naive_branch_trap()
+    fig2 = naive_branch_trap()
     assert im.brute_is(fig2) == 4
     assert im.brute_is(complete(4)) == 1
     assert im.brute_vc(complete(4)) == 3
@@ -97,7 +100,7 @@ def test_caps_stop_short_of_the_recursion_limit():
 
 
 def test_parameters_landmarks():
-    rep = parameters(im.paw_with_tail(), 2)
+    rep = parameters(paw_with_tail(), 2)
     assert (rep.mm, rep.is_, rep.im) == (2, 2, 2)
     assert rep.k_avg == 0 and rep.budget == 0
     rep = parameters(cycle(5), 1)
@@ -129,15 +132,15 @@ def test_measure_helper():
         return (im.brute_mm(g) + im.brute_is(g)) / 2 - ell
 
     assert measure(cycle(5), 1) == 1.0
-    assert measure(im.paw_with_tail(), 2) == 0.0
+    assert measure(paw_with_tail(), 2) == 0.0
 
 
 def test_shape_predicates():
     assert is_star(star(5)) and is_star(build(1)) and is_star(build(2, [(1, 2)]))
     assert not is_star(cycle(3))
     assert is_triangle_star(cycle(3))
-    assert is_triangle_star(im.triangle_star_graph(2))  # bowtie
-    assert is_triangle_star(im.triangle_star_graph(4))
+    assert is_triangle_star(triangle_star_graph(2))  # bowtie
+    assert is_triangle_star(triangle_star_graph(4))
     assert not is_triangle_star(complete(4))
     assert not is_triangle_star(star(4))
     assert not is_triangle_star(path(5))
@@ -147,7 +150,7 @@ def test_triangle_star_parts():
     for g in (complete(4), star(4), path(5), cycle(5)):
         assert triangle_star_parts(g) is None
     assert triangle_star_parts(cycle(3)) == (1, ((2, 3),))
-    assert triangle_star_parts(im.triangle_star_graph(2)) == (
+    assert triangle_star_parts(triangle_star_graph(2)) == (
         "s",
         (("u1", "w1"), ("u2", "w2")),
     )
@@ -203,7 +206,7 @@ def test_triangle_star_parts_matches_reference_on_perturbed_stars():
 
 def test_recognize_landmarks():
     assert recognize_cameron_walker(star(5)).kind == STAR
-    assert recognize_cameron_walker(im.triangle_star_graph(4)).kind == TRIANGLE_STAR
+    assert recognize_cameron_walker(triangle_star_graph(4)).kind == TRIANGLE_STAR
     assert recognize_cameron_walker(cycle(5)).kind == NOT_CAMERON_WALKER
     got = recognize_cameron_walker(path(5))
     assert got.kind == PENDANT_BIPARTITE
@@ -215,9 +218,9 @@ def test_recognize_landmarks():
 
 def test_classify_tight_landmarks():
     assert classify_tight(build(2, [(1, 2)])).kind == ISOLATED_EDGE
-    got = classify_tight(im.triangle_star_graph(4))
+    got = classify_tight(triangle_star_graph(4))
     assert got.kind == TRIANGLE_STAR
-    rep = parameters(im.triangle_star_graph(4), 0)
+    rep = parameters(triangle_star_graph(4), 0)
     assert rep.mm == rep.is_ == rep.im == 4
     got = classify_tight(tight_fixture())
     assert got.kind == TIGHT_PENDANT_BIPARTITE

@@ -13,22 +13,33 @@ import pytest
 import imsolve as im
 from imsolve.errors import PreconditionViolatedError
 from imsolve.gallai_edmonds import decompose
-from imsolve.graph import label_key
-from imsolve.kernel import Instance, TerminalState, node_state, reduce_instance
+from imsolve.graph import Interned, label_key
+from imsolve.kernel import Instance, node_state, reduce_instance
 from imsolve.solver import (
     Answer,
     BranchChoice,
     Rule,
     choose_rule,
+    _path4,
+    _survivor,
     expand,
-    find_degree2_survivor,
-    find_path4,
     solve_auto,
     solve_imba,
     solve_imbtg,
 )
 
-from conftest import all_labeled_graphs, build, complete, cycle, path, random_graphs, star
+from conftest import (
+    all_labeled_graphs,
+    anchored_triangle,
+    build,
+    complete,
+    cycle,
+    naive_branch_trap,
+    path,
+    paw_with_tail,
+    random_graphs,
+    star,
+)
 
 
 def bowtie():
@@ -66,8 +77,21 @@ def triangle_star_component_graph():
 # -- path and survivor helpers -------------------------------------------------
 
 
+def on_labels(rule, g, component, *vertices):
+    """``rule`` (``_path4`` or ``_survivor``) on labels: the component and
+    the vertices go in as a mask and indices, and the result comes back as
+    labels."""
+    bits = Interned(g)
+    found = rule(
+        bits.adj,
+        bits.mask_of(frozenset(component)),
+        *(bits.bit[v].bit_length() - 1 for v in vertices),
+    )
+    return None if found is None else tuple(map(bits.labels.__getitem__, found))
+
+
 def test_find_path4_on_cycle():
-    got = find_path4(cycle(5), {1, 2, 3, 4, 5})
+    got = on_labels(_path4, cycle(5), {1, 2, 3, 4, 5})
     assert got == (5, 1, 2, 3)
     u, v, w, x = got
     g = cycle(5)
@@ -76,21 +100,21 @@ def test_find_path4_on_cycle():
 
 def test_find_path4_star_absent():
     g = star(4)
-    assert find_path4(g, set(g.vertices)) is None
+    assert on_labels(_path4, g, set(g.vertices)) is None
 
 
 def test_find_path4_on_path():
-    assert find_path4(path(4), {1, 2, 3, 4}) == (1, 2, 3, 4)
+    assert on_labels(_path4, path(4), {1, 2, 3, 4}) == (1, 2, 3, 4)
 
 
 def test_find_path4_small_component_absent():
-    assert find_path4(cycle(3), {1, 2, 3}) is None
+    assert on_labels(_path4, cycle(3), {1, 2, 3}) is None
 
 
 def test_find_path4_validity_random():
     for g in random_graphs(200, seed0=101):
         for comp in g.connected_components():
-            got = find_path4(g, comp)
+            got = on_labels(_path4, g, comp)
             if got is None:
                 sub = g.induced(comp)
                 assert len(comp) < 4 or all(
@@ -104,34 +128,34 @@ def test_find_path4_validity_random():
 
 
 def test_find_path4_absent_at_maximum_degree_one():
-    # find_path4 has no degree test of its own: when no vertex of the set
+    # _path4 has no degree test of its own: when no vertex of the set
     # has two neighbours in it, its outward scan finds nothing.
-    assert find_path4(build(4), {1, 2, 3, 4}) is None
-    assert find_path4(build(4, [(1, 2), (3, 4)]), {1, 2, 3, 4}) is None
+    assert on_labels(_path4, build(4), {1, 2, 3, 4}) is None
+    assert on_labels(_path4, build(4, [(1, 2), (3, 4)]), {1, 2, 3, 4}) is None
     checked = 0
     for g in all_labeled_graphs(6, min_n=4):
         if all(g.degree(v) <= 1 for v in g.vertices):
-            assert find_path4(g, g.vertices) is None
+            assert on_labels(_path4, g, g.vertices) is None
             checked += 1
     rng = random.Random(103)
     for g in random_graphs(300, max_n=12, seed0=103, min_n=4):
         keep = frozenset(rng.sample(g.vertices, rng.randint(4, g.vertex_count)))
         sub = g.induced(keep)
         if all(sub.degree(v) <= 1 for v in keep):
-            assert find_path4(g, keep) is None
+            assert on_labels(_path4, g, keep) is None
             checked += 1
     assert checked >= 100
 
 
 def test_find_degree2_survivor():
-    assert find_degree2_survivor(cycle(5), {1, 2, 3, 4, 5}, 1) == (3, 2, 4)
-    assert find_degree2_survivor(cycle(7), set(range(1, 8)), 1) == (3, 2, 4)
+    assert on_labels(_survivor, cycle(5), {1, 2, 3, 4, 5}, 1) == (3, 2, 4)
+    assert on_labels(_survivor, cycle(7), set(range(1, 8)), 1) == (3, 2, 4)
 
 
 def test_find_degree2_survivor_rejects_triangle_star():
     g = bowtie()
     with pytest.raises(PreconditionViolatedError):
-        find_degree2_survivor(g, set(g.vertices), "c")
+        on_labels(_survivor, g, set(g.vertices), "c")
 
 
 # -- rule selection -------------------------------------------------------------
@@ -152,7 +176,7 @@ def test_choose_a_edge():
 
 
 def test_choose_triangle_on_anchored_triangle():
-    g = im.anchored_triangle()
+    g = anchored_triangle()
     choice = choose_rule(g, decompose(g))
     assert choice.rule is Rule.TRIANGLE
     assert choice.actors == {"u": "a", "v": "b", "w": "c", "ua": "z", "va": "z"}
@@ -232,7 +256,7 @@ def test_expand_clique():
 
 
 def test_expand_triangle_children_exact():
-    g = im.anchored_triangle()
+    g = anchored_triangle()
     deletions = expand(g, choose_rule(g, decompose(g)))
     v = frozenset(g.vertices)
     assert vertex_sets(g, deletions) == [
@@ -297,22 +321,11 @@ def test_expand_four_path_spec_example():
     assert last.edges() == [(2, 3)]
 
 
-def test_expand_naive_order():
-    g = cycle(5)
-    choice = BranchChoice(Rule.NAIVE, {"v": 1, "u": 2, "w": 5})
-    deletions = expand(g, choice)
-    assert vertex_sets(g, deletions) == [
-        frozenset({1, 3, 4, 5}),
-        frozenset({2, 3, 4, 5}),
-        frozenset({1, 2, 3, 4}),
-    ]
-
-
 # -- end-to-end solving ----------------------------------------------------------
 
 
 def test_reduction_alone_solves_paw_with_tail():
-    res = solve_imba(Instance(im.paw_with_tail(), 2), 0)
+    res = solve_imba(Instance(paw_with_tail(), 2), 0)
     assert res.answer is Answer.YES
     assert res.certificate == frozenset({("b", "c"), ("x", "y")})
     assert res.stats.nodes_visited == 1
@@ -382,13 +395,13 @@ def test_children_are_built_only_when_visited(monkeypatch):
 
 
 def test_auto_on_trap_fixture():
-    res = solve_auto(Instance(im.naive_branch_trap(), 2))
+    res = solve_auto(Instance(naive_branch_trap(), 2))
     assert res.answer is Answer.YES
     assert len(res.certificate) == 2
 
 
 def test_simple_solver_examples():
-    assert solve_imbtg(Instance(im.paw_with_tail(), 2)).answer is Answer.YES
+    assert solve_imbtg(Instance(paw_with_tail(), 2)).answer is Answer.YES
     assert solve_imbtg(Instance(cycle(5), 2)).answer is Answer.NO
     assert solve_imbtg(Instance(build(2, [(1, 2)]), 1)).answer is Answer.YES
 
@@ -566,7 +579,7 @@ def test_yes_instance_at_budget_boundary_has_collapsed_invariants():
             return
         reduced, _, _ = reduce_instance(inst)
         state = node_state(reduced.graph.vertex_count, reduced.ell, depth, budget)
-        if state is not TerminalState.CONTINUE:
+        if state is not None:
             return
         choice = choose_rule(reduced.graph, decompose(reduced.graph))
         for dels in expand(reduced.graph, choice):
