@@ -21,7 +21,7 @@ from .instances import (
     reduce_multicolored_is,
     write_instance,
 )
-from .kernel import Answer, Instance, ReductionStep, reduce_instance
+from .kernel import Answer, Instance
 from .matching import (
     is_factor_critical,
     maximum_matching,
@@ -40,12 +40,9 @@ from .oracle import (
     recognize_cameron_walker,
 )
 from .solver import (
-    BranchChoice,
     Rule,
     SearchStats,
     SolveResult,
-    choose_rule,
-    expand,
     solve_auto,
     solve_imba,
     solve_imbtg,
@@ -56,14 +53,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Answer",
     "AuditReport",
-    "BranchChoice",
     "GEDecomposition",
     "Graph",
     "IMSolveError",
     "Instance",
     "LocalFeatures",
     "ParameterReport",
-    "ReductionStep",
     "Rule",
     "SearchStats",
     "SolveResult",
@@ -74,11 +69,9 @@ __all__ = [
     "brute_is",
     "brute_mm",
     "brute_vc",
-    "choose_rule",
     "classify_tight",
     "decompose",
     "edge",
-    "expand",
     "gen_random",
     "generate",
     "is_factor_critical",
@@ -88,7 +81,6 @@ __all__ = [
     "read_instance",
     "recognize_cameron_walker",
     "reduce_dominating_set",
-    "reduce_instance",
     "reduce_multicolored_is",
     "solve_auto",
     "solve_imba",

@@ -66,24 +66,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="emit one JSON document instead of text")
 
+    def add_solve_args(p):
+        p.add_argument("path")
+        p.add_argument("--ell", type=int, help="override the target from the header")
+        p.add_argument("--trace", help="write one JSON line per search node here")
+        p.add_argument("--answer-status", action="store_true",
+                       help="exit 0 for yes, 1 for no")
+
     p = sub.add_parser("solve", help="run the decomposition-guided solver")
-    p.add_argument("path")
-    p.add_argument("--ell", type=int, help="override the target from the header")
+    add_solve_args(p)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--budget", type=int,
                       help="fixed branching budget; exhausted runs exit 3")
     mode.add_argument("--oracle-k", action="store_true",
                       help="budget from the oracle parameters (small inputs)")
-    p.add_argument("--trace", help="write one JSON line per search node here")
-    p.add_argument("--answer-status", action="store_true",
-                   help="exit 0 for yes, 1 for no")
     add_common(p, cap=True)
 
     p = sub.add_parser("solve-tg", help="run the simple cross-validation solver")
-    p.add_argument("path")
-    p.add_argument("--ell", type=int)
-    p.add_argument("--trace")
-    p.add_argument("--answer-status", action="store_true")
+    add_solve_args(p)
     add_common(p)
 
     p = sub.add_parser("oracle", help="exact parameters by brute force")

@@ -297,24 +297,16 @@ class Interned:
     graph past ``MAX_INTERNED_VERTICES`` raises TooLargeError at once.
     """
 
-    __slots__ = ("labels", "bit", "adj", "full")
+    __slots__ = ("labels", "adj", "full")
 
     def __init__(self, graph: Graph):
         _check_internable(graph.vertex_count)
         self.labels = graph.vertices
-        self.bit = bit = {v: 1 << i for i, v in enumerate(self.labels)}
+        bit = {v: 1 << i for i, v in enumerate(self.labels)}
         # The bits of distinct neighbours are distinct powers of two, so
         # their sum is their union.
         self.adj = [sum(map(bit.__getitem__, nbrs)) for nbrs in graph._adj.values()]
         self.full = (1 << len(self.labels)) - 1
-
-    def mask_of(self, vertices) -> int:
-        """The mask of a set of labels."""
-        return sum(map(self.bit.__getitem__, vertices))
-
-    def labels_of(self, mask: int) -> list:
-        """The labels of the bits of ``mask``, in label order."""
-        return list(map(self.labels.__getitem__, indices(mask)))
 
 
 def verify_induced_matching(g: Graph, matching) -> bool:

@@ -25,18 +25,16 @@ triangle that is new or became isolated, which has a neighbour of degree
 2.  Each later round therefore scans only those neighbours and keeps the
 other pendant triangles waiting in a heap in the scans' order.  The same
 argument lets the search's children skip most of the first scan: a child
-is a reduced mask minus a deletion mask, which ``reduce_mask`` takes, so
-its first round scans only the deleted vertices' neighbours.  No degree
+is a reduced mask minus a deletion mask, which ``reduce_instance`` takes,
+so its first round scans only the deleted vertices' neighbours.  No degree
 table is kept: a degree is read off the masks when it is needed, and a set
 keeps each pendant triangle once.
 
-The rules run on an interned graph (``graph.Interned``): ``reduce_mask``
-takes a vertex set as one int mask and works on indices, whose order is
-label order.  ``reduce_instance`` is the label-level entry point: it
-interns its graph, reduces the mask, and builds the reduced graph once.
-
-Every application is returned as a ``ReductionStep`` so tests can replay
-the exact deletion sequence step by step.
+The rules run on an interned graph (``graph.Interned``):
+``reduce_instance`` takes a vertex set as one int mask and works on
+indices, whose order is label order.  Every application is returned as a
+``(rule, deleted, harvested)`` triple, so tests can replay the exact
+deletion sequence step by step.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 
-from .graph import Graph, Interned
+from .graph import Graph
 
 RULE_ISOLATED_VERTEX = "isolated-vertex"
 RULE_ISOLATED_EDGE = "isolated-edge"
@@ -64,52 +62,13 @@ class Instance:
             raise ValueError(f"target must be nonnegative, got {self.ell}")
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    rule: str
-    deleted: tuple
-    harvested: tuple | None  # an edge, present only for harvesting steps
-
-
-def reduce_instance(inst: Instance, *, pendant_triangles: bool = True):
-    """Apply the reduction rules exhaustively, with one whole-graph scan.
-
-    Returns ``(reduced, harvested, steps)`` where ``harvested`` is the set
-    of isolated edges folded into the certificate and ``steps`` the tuple of
-    ``ReductionStep``s in the order they were applied.  With
-    ``pendant_triangles=False`` only the two degree-based rules run (the
-    below-trivial-guarantee solver uses that mode).
-
-    The graph is interned and reduced by ``reduce_mask``; the reduced graph
-    is built once, at the end.
-    """
-    g = inst.graph
-    bits = Interned(g)
-    live, ell, harvested, steps = reduce_mask(
-        bits.adj, bits.full, inst.ell, pendant_triangles
-    )
-    if live != bits.full:
-        g = g.delete_vertices(bits.labels_of(bits.full & ~live))
-    labels = bits.labels
-
-    def pair(e):
-        return (labels[e[0]], labels[e[1]])
-
-    return (
-        Instance(g, ell),
-        frozenset(map(pair, harvested)),
-        tuple(
-            ReductionStep(rule, tuple(map(labels.__getitem__, deleted)), h and pair(h))
-            for rule, deleted, h in steps
-        ),
-    )
-
-
-def reduce_mask(
+def reduce_instance(
     adj, live: int, ell: int, pendant_triangles: bool = True, deleted=None
 ):
-    """``reduce_instance`` on the vertex mask ``live`` of an interned graph
-    with neighbour masks ``adj`` (see ``graph.Interned``).
+    """Apply the reduction rules exhaustively to the vertex mask ``live`` of
+    an interned graph with neighbour masks ``adj`` (see ``graph.Interned``)
+    and the target ``ell``.  With ``pendant_triangles`` false only the two
+    degree-based rules run, as the simple engine ``solve_imbtg`` needs.
 
     Returns ``(live, ell, harvested, steps)``: the reduced mask and target,
     the harvested edges as index pairs ``(i, j)`` with ``i < j``, and the

@@ -34,10 +34,8 @@ budget truncated the search without finding a solution; only
 The search interns its input once (``graph.Interned``) and explores
 vertex-deleted subgraphs of it as int masks, and builds no ``Graph``:
 reductions, terminal tests, the memo, the decomposition, the matching
-bound, the rule choice and the children all work on masks (see
-``_search``).  ``choose_rule`` and ``expand`` are the label-level faces of
-the mask rules: each interns its graph and calls the one implementation the
-search uses.
+bound, the rule choice (``choose_rule``) and the children (``expand``) all
+work on masks (see ``_search``).
 """
 
 from __future__ import annotations
@@ -48,9 +46,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import PreconditionViolatedError
-from .gallai_edmonds import GEDecomposition, decompose_mask, mask_matching
-from .graph import Graph, Interned, indices, lowest_two, verify_induced_matching
-from .kernel import Answer, Instance, _scan, node_state, reduce_mask
+from .gallai_edmonds import decompose_mask, mask_matching
+from .graph import Interned, indices, lowest_two, verify_induced_matching
+from .kernel import Answer, Instance, _scan, node_state, reduce_instance
 
 
 class Rule(str, Enum):
@@ -63,30 +61,6 @@ class Rule(str, Enum):
     FOUR_PATH = "four-path"
     DEGREE_TWO = "degree-two"
     NAIVE = "naive"
-
-
-@dataclass(frozen=True)
-class BranchChoice:
-    """A rule plus the concrete vertices it acts on.
-
-    Actor keys by rule:
-      c-vertex / degree-two / naive: v (the branch vertex), u, w (two of
-        its neighbors);
-      a-edge: u, v (adjacent);
-      triangle: u, v, w (the triangle), ua, va (separator neighbors of u
-        and v);
-      triangle-star: u, v (outer vertices of two distinct pendant
-        triangles), ua, va (their separator neighbors), uc, vc (their
-        in-triangle partners);
-      four-path: u, v, w, x (the path), vp/v1/v2 and wp/w1/w2 (a vertex of
-        degree two after deleting v resp. w, with its two neighbors).
-
-    ``_CHILDREN`` lists the vertices each child of a rule deletes; the naive
-    rule's children are built in ``_search``.
-    """
-
-    rule: Rule
-    actors: dict
 
 
 @dataclass
@@ -111,8 +85,7 @@ class SolveResult:
 #
 # The rules run on an interned graph (``graph.Interned``): a vertex set is
 # an int mask, a vertex its index, and index order is label order, so the
-# lowest bit is the smallest label and every tie-break is by label.  The
-# label-level functions below intern their graph and call these.
+# lowest bit is the smallest label and every tie-break is by label.
 
 
 def _low(mask: int) -> int:
@@ -207,11 +180,32 @@ def _survivor(adj, comp: int, v: int):
     return found
 
 
-def _choose(adj, live: int, a: int, c: int, comps) -> tuple:
-    """``choose_rule`` on the node ``live``, whose decomposition has the
-    masks ``a`` and ``c`` and the D-components ``comps``.
+def choose_rule(adj, live: int, a: int, c: int, comps) -> tuple:
+    """Pick the highest-priority applicable branching rule at the node
+    ``live``, whose Gallai-Edmonds decomposition has the masks ``a`` and
+    ``c`` and the D-components ``comps``.
 
-    Returns ``(rule, actors)`` with the actors as indices.
+    Requires a fully reduced nonempty node.  The priority is: a vertex of
+    C; an edge inside A; a triangle D-component; a triangle-star
+    D-component; a 4-vertex path in the first other D-component of at
+    least five vertices; a degree-two vertex.  A vertex rule branches on
+    the first candidate of degree at least two and its two smallest
+    neighbors.  Triangle and triangle-star branches act on the members
+    with a neighbor in A, each paired with its smallest one.  A
+    precondition that reduction guarantees raises
+    ``PreconditionViolatedError`` when it fails.
+
+    Returns ``(rule, actors)``, the actors a dict of indices keyed by rule:
+      c-vertex / degree-two / naive: v (the branch vertex), u, w (two of
+        its neighbors);
+      a-edge: u, v (adjacent);
+      triangle: u, v, w (the triangle), ua, va (separator neighbors of u
+        and v);
+      triangle-star: u, v (outer vertices of two distinct pendant
+        triangles), ua, va (their separator neighbors), uc, vc (their
+        in-triangle partners);
+      four-path: u, v, w, x (the path), vp/v1/v2 and wp/w1/w2 (a vertex of
+        degree two after deleting v resp. w, with its two neighbors).
     """
     if c:
         return _vertex_choice(adj, live, Rule.C_VERTEX, c)
@@ -313,9 +307,13 @@ _CHILD_KEYS = {
 }
 
 
-def _children(adj, live: int, rule: Rule, actors: dict) -> list:
-    """``expand`` on the node ``live`` with actors given as indices: the
-    deletion masks of the children, in ``_CHILDREN`` order."""
+def expand(adj, live: int, rule: Rule, actors: dict) -> list:
+    """The deletion masks that define the children of ``rule`` at the node
+    ``live``, with actors given as indices, in ``_CHILDREN`` order.
+
+    Each child is ``live`` minus one of these masks, with the parent's
+    target; the naive rule's children are built in ``_search``.
+    """
     out = []
     for hood, keys in _CHILD_KEYS[rule]:
         mask = 0
@@ -332,48 +330,6 @@ def _children(adj, live: int, rule: Rule, actors: dict) -> list:
                 )
         out.append(mask)
     return out
-
-
-# -- the label-level interface ---------------------------------------------------
-
-
-def choose_rule(g: Graph, dec: GEDecomposition) -> BranchChoice:
-    """Pick the highest-priority applicable branching rule.
-
-    Requires a fully reduced nonempty graph.  The priority is: a vertex of
-    C; an edge inside A; a triangle D-component; a triangle-star
-    D-component; a 4-vertex path in the first other D-component of at
-    least five vertices; a degree-two vertex.  A vertex rule branches on
-    the first candidate of degree at least two and its two smallest
-    neighbors.  Triangle and triangle-star branches act on the members
-    with a neighbor in A, each paired with its smallest one.  A
-    precondition that reduction guarantees raises
-    ``PreconditionViolatedError`` when it fails.
-    """
-    bits = Interned(g)
-    rule, actors = _choose(
-        bits.adj,
-        bits.full,
-        bits.mask_of(dec.a),
-        bits.mask_of(dec.c),
-        list(map(bits.mask_of, dec.d_components)),
-    )
-    return BranchChoice(rule, {k: bits.labels[i] for k, i in actors.items()})
-
-
-def expand(g: Graph, choice: BranchChoice) -> list:
-    """The deletion sets that define the children of a branching choice,
-    read from ``_CHILDREN``.
-
-    Each child is ``g`` minus one of these sets, with the parent's target;
-    no graph is built here.
-    """
-    bits = Interned(g)
-    actors = {k: bits.bit[v].bit_length() - 1 for k, v in choice.actors.items()}
-    return [
-        set(bits.labels_of(mask))
-        for mask in _children(bits.adj, bits.full, choice.rule, actors)
-    ]
 
 
 # -- the depth-first engine ---------------------------------------------------
@@ -411,18 +367,20 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
 
     The input is interned once (``graph.Interned``), and a node is the int
     mask of its vertices: a child is its parent's reduced mask minus a
-    deletion mask, ``reduce_mask`` reduces it, the terminal test counts its
-    bits, the memo is keyed on it, and the naive rule reads its branch off
-    it.  The root's reduction scans the whole input; a child's is given
+    deletion mask, ``reduce_instance`` reduces it, the terminal test counts
+    its bits, the memo is keyed on it, and the naive rule reads its branch
+    off it.  The root's reduction scans the whole input; a child's is given
     the deletion mask and scans only the deleted vertices' neighbours, as
     its parent was reduced.  A paper-engine node that passes the memo test
     is decided on its mask too: ``mask_matching`` gives its index adjacency
     and maximum matching, which give the bound; ``decompose_mask`` grows
     the forest from that matching and gives ``d``, ``a`` and the
-    D-components as masks; and ``_choose`` and ``_children``
-    (``choose_rule`` and ``expand`` on masks) give the rule, its actors as
-    indices and the deletion masks.  No ``Graph`` is built; labels appear only in trace records, and harvested
-    edges are index pairs until a Yes maps them to labels.
+    D-components as masks; and ``choose_rule`` and ``expand`` give the
+    rule, its actors as indices and the deletion masks.  No ``Graph`` is
+    built; labels appear only in trace records, and harvested edges are
+    index pairs until a Yes maps them to labels.  The three layers are
+    looked up as module globals at every call, not bound to locals, so a
+    wrapper set on a module name (the benchmark's spans) sees every call.
 
     The path from the root is an explicit stack, so the depth is bounded by
     the budget rather than by Python's recursion limit.  Each frame holds
@@ -453,7 +411,7 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
         depth = len(stack) - 1
         deleted = pending.pop()
         # The root frame's deletion is 0 and the root is not reduced yet.
-        live, ell, got, steps = reduce_mask(
+        live, ell, got, steps = reduce_instance(
             adj, parent & ~deleted, target, not naive, deleted or None
         )
         stats.nodes_visited += 1
@@ -471,7 +429,7 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
                 rule, actors = _vertex_choice(adj, live, Rule.NAIVE, live)
                 name = naive_name
                 # The naive children delete u, then v, then w, and are built
-                # here: through a ``_CHILDREN`` row and ``_children``, naive
+                # here: through a ``_CHILDREN`` row and ``expand``, naive
                 # ops ran about 5% slower, 0.0351-0.0371 to 0.0369-0.0390 s
                 # over 6 runs (Python 3.11, 2 cores).
                 children = [1 << actors["w"], 1 << actors["v"], 1 << actors["u"]]
@@ -486,9 +444,9 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
                     state = Answer.NO
                 else:
                     d, a, comps = decompose_mask(adj, live, matched)
-                    rule, actors = _choose(adj, live, a, live & ~(d | a), comps)
+                    rule, actors = choose_rule(adj, live, a, live & ~(d | a), comps)
                     name = rule.value
-                    children = _children(adj, live, rule, actors)[::-1]
+                    children = expand(adj, live, rule, actors)[::-1]
         if rule is not None:
             stats.branchings_by_rule[name] += 1
         if trace is not None:

@@ -5,6 +5,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import imsolve as im
+from imsolve.graph import Interned, indices
+from imsolve.kernel import Instance, reduce_instance
+from imsolve.solver import choose_rule, expand
 
 settings.register_profile("suite", deadline=None, max_examples=60, derandomize=True)
 settings.load_profile("suite")
@@ -81,6 +84,71 @@ def anchored_triangle():
         ["a", "b", "c", "z", "y"],
         [("a", "b"), ("a", "c"), ("b", "c"), ("z", "a"), ("z", "b"), ("z", "y")],
     )
+
+
+# -- label adapters of the search's mask functions ------------------------------
+
+
+def mask_of(bits, vertices):
+    """The mask of a set of labels of the interned graph ``bits``."""
+    rank = {v: i for i, v in enumerate(bits.labels)}
+    return sum(1 << rank[v] for v in vertices)
+
+
+def labels_of(bits, mask):
+    """The labels of the bits of ``mask``, in label order."""
+    return [bits.labels[i] for i in indices(mask)]
+
+
+def reduce_labels(inst, pendant_triangles=True):
+    """``kernel.reduce_instance`` on the whole graph of ``inst``, in labels:
+    ``(reduced, harvested, steps)``, the reduced ``Instance``, the set of
+    harvested edges and the steps as ``(rule, deleted, harvested)``
+    triples, ``harvested`` an edge or None."""
+    g = inst.graph
+    bits = Interned(g)
+    live, ell, harvested, steps = reduce_instance(
+        bits.adj, bits.full, inst.ell, pendant_triangles
+    )
+    if live != bits.full:
+        g = g.delete_vertices(labels_of(bits, bits.full & ~live))
+    labels = bits.labels
+
+    def pair(e):
+        return (labels[e[0]], labels[e[1]])
+
+    return (
+        Instance(g, ell),
+        frozenset(map(pair, harvested)),
+        tuple(
+            (rule, tuple(map(labels.__getitem__, deleted)), h and pair(h))
+            for rule, deleted, h in steps
+        ),
+    )
+
+
+def choose_labels(g, dec):
+    """``solver.choose_rule`` on the whole graph ``g`` with its
+    decomposition ``dec``: ``(rule, actors)``, the actors as labels."""
+    bits = Interned(g)
+    rule, actors = choose_rule(
+        bits.adj,
+        bits.full,
+        mask_of(bits, dec.a),
+        mask_of(bits, dec.c),
+        [mask_of(bits, comp) for comp in dec.d_components],
+    )
+    return rule, {k: bits.labels[i] for k, i in actors.items()}
+
+
+def expand_labels(g, choice):
+    """``solver.expand`` on the whole graph ``g`` for the ``(rule, actors)``
+    pair ``choice`` in labels: the children's deletion sets."""
+    rule, actors = choice
+    bits = Interned(g)
+    rank = {v: i for i, v in enumerate(bits.labels)}
+    masks = expand(bits.adj, bits.full, rule, {k: rank[v] for k, v in actors.items()})
+    return [set(labels_of(bits, mask)) for mask in masks]
 
 
 def is_connected(g):

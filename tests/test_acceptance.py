@@ -11,7 +11,7 @@ import pytest
 
 import imsolve as im
 from imsolve.gallai_edmonds import audit, decompose
-from imsolve.kernel import Instance, node_state, reduce_instance
+from imsolve.kernel import Instance, node_state
 from imsolve.oracle import (
     NOT_CAMERON_WALKER,
     NOT_TIGHT,
@@ -19,9 +19,16 @@ from imsolve.oracle import (
     classify_tight,
     recognize_cameron_walker,
 )
-from imsolve.solver import Answer, choose_rule, expand, solve_auto, solve_imba, solve_imbtg
+from imsolve.solver import Answer, solve_auto, solve_imba, solve_imbtg
 
-from conftest import all_labeled_graphs, is_connected, naive_branch_trap
+from conftest import (
+    all_labeled_graphs,
+    choose_labels,
+    expand_labels,
+    is_connected,
+    naive_branch_trap,
+    reduce_labels,
+)
 
 RANDOM_COUNT = 20000
 CORPUS_SEED = 1_000_000
@@ -137,10 +144,10 @@ def test_criterion_3_measure_drops():
         if steps >= MEASURE_STEP_QUOTA:
             return
         g, ell = inst.graph, inst.ell
-        reduced, _, reductions = reduce_instance(inst)
-        for step in reductions:
-            g2 = g.delete_vertices(step.deleted)
-            ell2 = ell - 1 if step.harvested is not None else ell
+        reduced, _, reductions = reduce_labels(inst)
+        for _, deleted, harvested in reductions:
+            g2 = g.delete_vertices(deleted)
+            ell2 = ell - 1 if harvested is not None else ell
             if potential(g2, ell2) > potential(g, ell):
                 violations += 1
             steps += 1
@@ -148,11 +155,11 @@ def test_criterion_3_measure_drops():
         state = node_state(reduced.graph.vertex_count, reduced.ell, depth, budget)
         if state is not None:
             return
-        choice = choose_rule(reduced.graph, decompose(reduced.graph))
+        choice = choose_labels(reduced.graph, decompose(reduced.graph))
         parent = potential(reduced.graph, reduced.ell)
         children = [
             Instance(reduced.graph.delete_vertices(dels), reduced.ell)
-            for dels in expand(reduced.graph, choice)
+            for dels in expand_labels(reduced.graph, choice)
         ]
         for child in children:
             if potential(child.graph, child.ell) > parent - 0.5:

@@ -326,14 +326,13 @@ def test_public_api_and_the_readme_tour():
     # The names the CLI, the search, the benchmark and the oracles use, and
     # nothing only the tests call; the README's tour must run against them.
     assert sorted(im.__all__) == [
-        "Answer", "AuditReport", "BranchChoice", "GEDecomposition", "Graph",
-        "IMSolveError", "Instance", "LocalFeatures", "ParameterReport",
-        "ReductionStep", "Rule", "SearchStats", "SolveResult", "StructureClass",
-        "audit", "brute_ds", "brute_im", "brute_is", "brute_mm", "brute_vc",
-        "choose_rule", "classify_tight", "decompose", "edge", "expand",
-        "gen_random", "generate", "is_factor_critical", "is_triangle_star",
-        "maximum_matching", "parameters", "read_instance",
-        "recognize_cameron_walker", "reduce_dominating_set", "reduce_instance",
+        "Answer", "AuditReport", "GEDecomposition", "Graph", "IMSolveError",
+        "Instance", "LocalFeatures", "ParameterReport", "Rule", "SearchStats",
+        "SolveResult", "StructureClass", "audit", "brute_ds", "brute_im",
+        "brute_is", "brute_mm", "brute_vc", "classify_tight", "decompose",
+        "edge", "gen_random", "generate", "is_factor_critical",
+        "is_triangle_star", "maximum_matching", "parameters", "read_instance",
+        "recognize_cameron_walker", "reduce_dominating_set",
         "reduce_multicolored_is", "solve_auto", "solve_imba", "solve_imbtg",
         "verify_induced_matching", "write_instance",
     ]

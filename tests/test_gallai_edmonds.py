@@ -20,6 +20,8 @@ from conftest import (
     build,
     complete,
     cycle,
+    labels_of,
+    mask_of,
     mixed_labels,
     naive_branch_trap,
     random_graphs,
@@ -133,10 +135,10 @@ def test_decompose_mask_agrees_with_decompose(monkeypatch):
         for live in visited + [rng.getrandbits(n) for _ in range(4)] + [bits.full]:
             matched = mask_matching(bits.adj, live)
             d, a, comps = decompose_mask(bits.adj, live, matched)
-            dec = decompose(g.induced(bits.labels_of(live)))
-            assert d == bits.mask_of(dec.d)
-            assert a == bits.mask_of(dec.a)
-            assert comps == list(map(bits.mask_of, dec.d_components))
+            dec = decompose(g.induced(labels_of(bits, live)))
+            assert d == mask_of(bits, dec.d)
+            assert a == mask_of(bits, dec.a)
+            assert comps == [mask_of(bits, comp) for comp in dec.d_components]
             match = matched[2]
             size = live.bit_count()
             assert size - match.count(-1) == size - len(comps) + a.bit_count()

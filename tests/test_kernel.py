@@ -14,7 +14,6 @@ from imsolve.kernel import (
     Instance,
     node_state,
     reduce_instance,
-    reduce_mask,
 )
 
 from conftest import (
@@ -24,6 +23,7 @@ from conftest import (
     mixed_labels,
     paw_with_tail,
     random_graphs,
+    reduce_labels,
     triangle_star_graph,
 )
 
@@ -34,10 +34,10 @@ def test_instance_rejects_negative_target():
 
 
 def test_paw_with_tail_trace():
-    reduced, harvested, steps = reduce_instance(Instance(paw_with_tail(), 2))
-    rules = [s.rule for s in steps]
+    reduced, harvested, steps = reduce_labels(Instance(paw_with_tail(), 2))
+    rules = [rule for rule, _, _ in steps]
     assert rules == [RULE_PENDANT_TRIANGLE, RULE_ISOLATED_EDGE, RULE_ISOLATED_EDGE]
-    assert steps[0].deleted == ("a",)
+    assert steps[0][1] == ("a",)
     assert harvested == frozenset({("b", "c"), ("x", "y")})
     assert reduced.ell == 0
     assert reduced.graph.vertex_count == 0
@@ -46,54 +46,51 @@ def test_paw_with_tail_trace():
 
 def test_triangle_star_reduces_completely():
     g = triangle_star_graph(4)
-    reduced, harvested, steps = reduce_instance(Instance(g, 4))
+    reduced, harvested, steps = reduce_labels(Instance(g, 4))
     assert reduced.ell == 0
     assert reduced.graph.vertex_count == 0
     assert len(harvested) == 4
-    rules = [s.rule for s in steps]
+    rules = [rule for rule, _, _ in steps]
     assert rules.count(RULE_PENDANT_TRIANGLE) == 1
     assert rules.count(RULE_ISOLATED_EDGE) == 4
-    assert steps[0].deleted == ("s",)
+    assert steps[0][1] == ("s",)
     assert im.verify_induced_matching(g, harvested)
 
 
 def test_cycle_is_already_reduced():
     inst = Instance(cycle(5), 1)
-    reduced, harvested, steps = reduce_instance(inst)
+    reduced, harvested, steps = reduce_labels(inst)
     assert reduced == inst
     assert harvested == frozenset()
     assert steps == ()
 
 
 def test_target_floor_deletes_without_harvest():
-    reduced, harvested, steps = reduce_instance(Instance(build(2, [(1, 2)]), 0))
+    reduced, harvested, steps = reduce_labels(Instance(build(2, [(1, 2)]), 0))
     assert reduced.ell == 0
     assert reduced.graph.vertex_count == 0
     assert harvested == frozenset()
-    assert steps == (
-        im.ReductionStep(RULE_ISOLATED_EDGE, (1, 2), None),
-    )
+    assert steps == ((RULE_ISOLATED_EDGE, (1, 2), None),)
 
 
 def test_isolated_vertices_removed_first_smallest_first():
     g = build(3)
-    _, _, steps = reduce_instance(Instance(g, 0))
-    assert [s.deleted for s in steps] == [(1,), (2,), (3,)]
-    assert all(s.rule == RULE_ISOLATED_VERTEX for s in steps)
+    _, _, steps = reduce_labels(Instance(g, 0))
+    assert steps == tuple((RULE_ISOLATED_VERTEX, (v,), None) for v in (1, 2, 3))
 
 
 def test_pendant_triangle_mode_toggle():
     g = triangle_star_graph(1)  # one triangle: only the triangle rule acts
-    reduced, _, _ = reduce_instance(Instance(g, 1), pendant_triangles=False)
+    reduced, _, _ = reduce_labels(Instance(g, 1), pendant_triangles=False)
     assert reduced.graph.vertex_count == 3
-    reduced, harvested, _ = reduce_instance(Instance(g, 1))
+    reduced, harvested, _ = reduce_labels(Instance(g, 1))
     assert reduced.graph.vertex_count == 0
     assert len(harvested) == 1
 
 
 def test_fixpoint_no_features_left():
     for g in random_graphs(200, seed0=17):
-        reduced, _, _ = reduce_instance(Instance(g, 2))
+        reduced, _, _ = reduce_labels(Instance(g, 2))
         feats = reduced.graph.local_features()
         assert feats.isolated_vertices == ()
         assert feats.isolated_edges == ()
@@ -104,10 +101,9 @@ def test_trace_harvest_bookkeeping():
     for g in random_graphs(150, seed0=29):
         for ell in (0, 1, 2, 3):
             inst = Instance(g, ell)
-            reduced, harvested, steps = reduce_instance(inst)
+            reduced, harvested, steps = reduce_labels(inst)
             assert all(
-                (s.harvested is not None) <= (s.rule == RULE_ISOLATED_EDGE)
-                for s in steps
+                (h is not None) <= (rule == RULE_ISOLATED_EDGE) for rule, _, h in steps
             )
             assert len(harvested) == ell - reduced.ell
 
@@ -116,7 +112,7 @@ def test_equivalence_on_small_graphs():
     for g in all_labeled_graphs(4):
         top = (g.vertex_count + 1) // 2 + 1
         for ell in range(top + 1):
-            reduced, harvested, _ = reduce_instance(Instance(g, ell))
+            reduced, harvested, _ = reduce_labels(Instance(g, ell))
             before = im.brute_im(g)[0] >= ell
             after = im.brute_im(reduced.graph)[0] >= reduced.ell
             assert before == after
@@ -124,7 +120,7 @@ def test_equivalence_on_small_graphs():
 
 def test_certificate_composition():
     for g in random_graphs(150, seed0=37):
-        reduced, harvested, _ = reduce_instance(Instance(g, 3))
+        reduced, harvested, _ = reduce_labels(Instance(g, 3))
         _, witness = im.brute_im(reduced.graph)
         assert im.verify_induced_matching(g, harvested | witness)
 
@@ -135,7 +131,7 @@ def test_measure_never_increases():
 
     for g in random_graphs(120, max_n=8, seed0=41):
         for ell in (1, 2):
-            reduced, _, _ = reduce_instance(Instance(g, ell))
+            reduced, _, _ = reduce_labels(Instance(g, ell))
             assert measure(reduced.graph, reduced.ell) <= measure(g, ell)
 
 
@@ -147,20 +143,20 @@ def one_rule_per_scan(inst, pendant_triangles):
         if feats.isolated_vertices:
             v = feats.isolated_vertices[0]
             g = g.delete_vertices({v})
-            steps.append(im.ReductionStep(RULE_ISOLATED_VERTEX, (v,), None))
+            steps.append((RULE_ISOLATED_VERTEX, (v,), None))
         elif feats.isolated_edges:
             e = feats.isolated_edges[0]
             g = g.delete_vertices(e)
             if ell > 0:
                 ell -= 1
                 harvested.add(e)
-                steps.append(im.ReductionStep(RULE_ISOLATED_EDGE, e, e))
+                steps.append((RULE_ISOLATED_EDGE, e, e))
             else:
-                steps.append(im.ReductionStep(RULE_ISOLATED_EDGE, e, None))
+                steps.append((RULE_ISOLATED_EDGE, e, None))
         elif pendant_triangles and feats.pendant_triangles:
             _, v, _ = feats.pendant_triangles[0]
             g = g.delete_vertices({v})
-            steps.append(im.ReductionStep(RULE_PENDANT_TRIANGLE, (v,), None))
+            steps.append((RULE_PENDANT_TRIANGLE, (v,), None))
         else:
             return Instance(g, ell), frozenset(harvested), tuple(steps)
 
@@ -205,46 +201,41 @@ def test_rounds_match_one_rule_per_scan():
         for ell in ells:
             for mode in (True, False):
                 inst = Instance(g, ell)
-                reduced, harvested, steps = reduce_instance(inst, pendant_triangles=mode)
+                reduced, harvested, steps = reduce_labels(inst, pendant_triangles=mode)
                 assert (reduced, harvested, steps) == one_rule_per_scan(inst, mode)
 
 
 def test_one_scan_and_at_most_one_rebuild_per_reduction(monkeypatch):
-    # Only the first round scans the whole graph, and the reduced graph is
-    # built once, however many pendant-triangle steps the reduction takes.
-    # Each later round follows one pendant-triangle step and scans only the
-    # live neighbours of a deleted vertex, the apex.
-    calls = {"scan": 0, "delete_vertices": 0}
+    # Only the first round scans the whole graph, however many
+    # pendant-triangle steps the reduction takes.  Each later round follows
+    # one pendant-triangle step and scans only the live neighbours of a
+    # deleted vertex, the apex.
+    calls = 0
     scan = kernel._scan
-    delete_vertices = im.Graph.delete_vertices
 
     def counted_scan(adj, live, pendant_triangles, changed):
-        if calls["scan"] == 0:
+        nonlocal calls
+        if calls == 0:
             assert changed == live
         else:
             assert any(
                 not live >> v & 1 and changed == adj[v] & live for v in range(len(adj))
             )
-        calls["scan"] += 1
+        calls += 1
         return scan(adj, live, pendant_triangles, changed)
 
-    def counted_delete_vertices(self, remove):
-        calls["delete_vertices"] += 1
-        return delete_vertices(self, remove)
-
     monkeypatch.setattr(kernel, "_scan", counted_scan)
-    monkeypatch.setattr(im.Graph, "delete_vertices", counted_delete_vertices)
     cw = [im.generate("cw:u=2,w=3,p=0.4,nu=1,nw=1-2,tight", seed=s) for s in range(10)]
     tight = [im.generate("cw:u=20,w=20,nu=1,nw=1-3,tight", seed=s) for s in range(3)]
     chains = 0
     for g in random_graphs(200, max_n=12, seed0=61) + cw + tight + triangle_chains(60, 71):
+        bits = Interned(g)
         for ell in range(g.vertex_count // 2 + 2):
             for mode in (True, False):
-                calls.update(scan=0, delete_vertices=0)
-                _, _, steps = reduce_instance(Instance(g, ell), pendant_triangles=mode)
-                pendant_steps = [s.rule for s in steps].count(RULE_PENDANT_TRIANGLE)
-                assert calls["scan"] == 1 + pendant_steps
-                assert calls["delete_vertices"] <= 1
+                calls = 0
+                steps = reduce_instance(bits.adj, bits.full, ell, mode)[3]
+                pendant_steps = [step[0] for step in steps].count(RULE_PENDANT_TRIANGLE)
+                assert calls == 1 + pendant_steps
                 chains += pendant_steps > 1
     assert chains > 500
 
@@ -277,12 +268,11 @@ def test_scan_of_a_deleted_vertex_neighbours_finds_every_feature():
     for g in graphs:
         bits = Interned(g)
         for ell in (0, 2):
-            parent, _, _, _ = reduce_mask(bits.adj, bits.full, ell, False)
+            parent, _, _, _ = reduce_instance(bits.adj, bits.full, ell, False)
             for x in indices(parent):
                 child = parent & ~(1 << x)
-                assert reduce_mask(bits.adj, child, ell, False, 1 << x) == reduce_mask(
-                    bits.adj, child, ell, False
-                )
+                seeded = reduce_instance(bits.adj, child, ell, False, 1 << x)
+                assert seeded == reduce_instance(bits.adj, child, ell, False)
                 partial += bits.adj[x] & child != child
     assert partial > 1000
     cw = [im.generate("cw:u=2,w=3,p=0.4,nu=1,nw=1-2,tight", seed=s) for s in range(10)]
@@ -296,11 +286,11 @@ def test_scan_of_a_deleted_vertex_neighbours_finds_every_feature():
         starts = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(5)]
         for start in [bits.full] + starts:
             ell = rng.randint(0, 3)
-            parent, _, _, _ = reduce_mask(bits.adj, start, ell, True)
+            parent, _, _, _ = reduce_instance(bits.adj, start, ell, True)
             for deleted in _deletions(bits.adj, parent):
                 child = parent & ~deleted
-                seeded = reduce_mask(bits.adj, child, ell, True, deleted)
-                assert seeded == reduce_mask(bits.adj, child, ell, True)
+                seeded = reduce_instance(bits.adj, child, ell, True, deleted)
+                assert seeded == reduce_instance(bits.adj, child, ell, True)
                 pendant += any(step[0] == RULE_PENDANT_TRIANGLE for step in seeded[3])
     assert pendant > 500
 

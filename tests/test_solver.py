@@ -11,18 +11,16 @@ from pathlib import Path
 import pytest
 
 import imsolve as im
+from imsolve import solver
 from imsolve.errors import PreconditionViolatedError
 from imsolve.gallai_edmonds import decompose
 from imsolve.graph import Interned, label_key
-from imsolve.kernel import Instance, node_state, reduce_instance
+from imsolve.kernel import Instance, node_state
 from imsolve.solver import (
     Answer,
-    BranchChoice,
     Rule,
-    choose_rule,
     _path4,
     _survivor,
-    expand,
     solve_auto,
     solve_imba,
     solve_imbtg,
@@ -32,12 +30,16 @@ from conftest import (
     all_labeled_graphs,
     anchored_triangle,
     build,
+    choose_labels,
     complete,
     cycle,
+    expand_labels,
+    mask_of,
     naive_branch_trap,
     path,
     paw_with_tail,
     random_graphs,
+    reduce_labels,
     star,
 )
 
@@ -84,8 +86,8 @@ def on_labels(rule, g, component, *vertices):
     bits = Interned(g)
     found = rule(
         bits.adj,
-        bits.mask_of(frozenset(component)),
-        *(bits.bit[v].bit_length() - 1 for v in vertices),
+        mask_of(bits, frozenset(component)),
+        *(bits.labels.index(v) for v in vertices),
     )
     return None if found is None else tuple(map(bits.labels.__getitem__, found))
 
@@ -163,39 +165,35 @@ def test_find_degree2_survivor_rejects_triangle_star():
 
 def test_choose_c_vertex_on_clique():
     g = complete(4)
-    choice = choose_rule(g, decompose(g))
-    assert choice.rule is Rule.C_VERTEX
-    assert choice.actors == {"v": 1, "u": 2, "w": 3}
+    assert choose_labels(g, decompose(g)) == (Rule.C_VERTEX, {"v": 1, "u": 2, "w": 3})
 
 
 def test_choose_a_edge():
     g = a_edge_graph()
-    choice = choose_rule(g, decompose(g))
-    assert choice.rule is Rule.A_EDGE
-    assert choice.actors == {"u": "p", "v": "q"}
+    assert choose_labels(g, decompose(g)) == (Rule.A_EDGE, {"u": "p", "v": "q"})
 
 
 def test_choose_triangle_on_anchored_triangle():
     g = anchored_triangle()
-    choice = choose_rule(g, decompose(g))
-    assert choice.rule is Rule.TRIANGLE
-    assert choice.actors == {"u": "a", "v": "b", "w": "c", "ua": "z", "va": "z"}
+    rule, actors = choose_labels(g, decompose(g))
+    assert rule is Rule.TRIANGLE
+    assert actors == {"u": "a", "v": "b", "w": "c", "ua": "z", "va": "z"}
 
 
 def test_choose_triangle_star_on_anchored_bowtie():
     g = triangle_star_component_graph()
-    choice = choose_rule(g, decompose(g))
-    assert choice.rule is Rule.TRIANGLE_STAR
-    assert choice.actors == {
+    rule, actors = choose_labels(g, decompose(g))
+    assert rule is Rule.TRIANGLE_STAR
+    assert actors == {
         "u": "d", "v": "f", "ua": "a", "va": "a", "uc": "e", "vc": "g",
     }
 
 
 def test_choose_four_path_on_cycle():
     g = cycle(5)
-    choice = choose_rule(g, decompose(g))
-    assert choice.rule is Rule.FOUR_PATH
-    assert choice.actors == {
+    rule, actors = choose_labels(g, decompose(g))
+    assert rule is Rule.FOUR_PATH
+    assert actors == {
         "u": 5, "v": 1, "w": 2, "x": 3,
         "vp": 3, "v1": 2, "v2": 4,
         "wp": 4, "w1": 3, "w2": 5,
@@ -205,13 +203,13 @@ def test_choose_four_path_on_cycle():
 def test_rule_always_found_after_reduction():
     # a reduced nonempty graph has a vertex of degree 2, so some rule fires
     for g in random_graphs(250, seed0=113):
-        reduced, _, _ = reduce_instance(Instance(g, 1))
+        reduced, _, _ = reduce_labels(Instance(g, 1))
         h = reduced.graph
         if h.vertex_count == 0:
             continue
         assert max(h.degree(v) for v in h.vertices) >= 2
-        choice = choose_rule(h, decompose(h))
-        assert isinstance(choice, BranchChoice)
+        rule, _ = choose_labels(h, decompose(h))
+        assert isinstance(rule, Rule)
 
 
 def test_three_vertex_d_components_are_anchored_triangles():
@@ -223,7 +221,7 @@ def test_three_vertex_d_components_are_anchored_triangles():
         for _ in range(3):
             children = []
             for node in frontier:
-                h = reduce_instance(Instance(node, 1))[0].graph
+                h = reduce_labels(Instance(node, 1))[0].graph
                 if h.vertex_count == 0:
                     continue
                 dec = decompose(h)
@@ -234,8 +232,8 @@ def test_three_vertex_d_components_are_anchored_triangles():
                     assert h.has_edge(a, b) and h.has_edge(a, c) and h.has_edge(b, c)
                     assert sum(1 for x in comp if h.neighbors(x) & dec.a) >= 2
                     seen += 1
-                choice = choose_rule(h, dec)
-                children += [h.delete_vertices(d) for d in expand(h, choice)]
+                choice = choose_labels(h, dec)
+                children += [h.delete_vertices(d) for d in expand_labels(h, choice)]
             frontier = children
     assert seen >= 100
 
@@ -249,7 +247,7 @@ def vertex_sets(g, deletions):
 
 def test_expand_clique():
     g = complete(4)
-    deletions = expand(g, choose_rule(g, decompose(g)))
+    deletions = expand_labels(g, choose_labels(g, decompose(g)))
     assert deletions == [{1}, {2}, {3}]
     for dels in deletions:
         assert g.delete_vertices(dels).edge_count == 3
@@ -257,7 +255,7 @@ def test_expand_clique():
 
 def test_expand_triangle_children_exact():
     g = anchored_triangle()
-    deletions = expand(g, choose_rule(g, decompose(g)))
+    deletions = expand_labels(g, choose_labels(g, decompose(g)))
     v = frozenset(g.vertices)
     assert vertex_sets(g, deletions) == [
         v - {"z"},
@@ -272,7 +270,7 @@ def test_expand_triangle_children_exact():
 
 def test_expand_triangle_star_children_exact():
     g = triangle_star_component_graph()
-    deletions = expand(g, choose_rule(g, decompose(g)))
+    deletions = expand_labels(g, choose_labels(g, decompose(g)))
     v = frozenset(g.vertices)
     assert vertex_sets(g, deletions) == [
         v - {"a"},
@@ -287,7 +285,7 @@ def test_expand_triangle_star_children_exact():
 
 def test_expand_a_edge_children():
     g = a_edge_graph()
-    deletions = expand(g, choose_rule(g, decompose(g)))
+    deletions = expand_labels(g, choose_labels(g, decompose(g)))
     v = frozenset(g.vertices)
     assert vertex_sets(g, deletions) == [
         v - {"p"},
@@ -299,14 +297,14 @@ def test_expand_a_edge_children():
 def test_expand_refuses_an_empty_neighborhood_child():
     g = build(2, [(1, 2)])
     with pytest.raises(PreconditionViolatedError):
-        expand(g, BranchChoice(Rule.A_EDGE, {"u": 1, "v": 2}))
+        expand_labels(g, (Rule.A_EDGE, {"u": 1, "v": 2}))
 
 
 def test_expand_four_path_spec_example():
     # explicit path (1,2,3,4) on the 5-cycle: the last child deletes the
     # outside neighborhood of the two middle vertices
     g = cycle(5)
-    choice = BranchChoice(
+    choice = (
         Rule.FOUR_PATH,
         {
             "u": 1, "v": 2, "w": 3, "x": 4,
@@ -314,7 +312,7 @@ def test_expand_four_path_spec_example():
             "wp": 1, "w1": 2, "w2": 5,
         },
     )
-    deletions = expand(g, choice)
+    deletions = expand_labels(g, choice)
     assert len(deletions) == 7
     last = g.delete_vertices(deletions[6])
     assert frozenset(last.vertices) == frozenset({2, 3, 5})
@@ -375,23 +373,43 @@ def test_search_deeper_than_the_recursion_limit():
 
 
 def test_children_are_built_only_when_visited(monkeypatch):
-    # every graph the search builds is either a visited node or the
-    # result of a reduction round, never an unvisited sibling
-    calls = 0
-    delete_vertices = im.Graph.delete_vertices
+    # The search reduces a node only when it visits it, and picks a rule
+    # and expands its children once per branching.  It calls each layer
+    # through its module name, which is what a wrapper on that name (the
+    # benchmark's spans) sees.
+    calls = Counter()
 
-    def counting(self, remove):
-        nonlocal calls
-        calls += 1
-        return delete_vertices(self, remove)
+    def counted(name):
+        fn = getattr(solver, name)
 
-    monkeypatch.setattr(im.Graph, "delete_vertices", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(solver, name, wrapper)
+
+    for name in ("reduce_instance", "choose_rule", "expand"):
+        counted(name)
     res = solve_auto(Instance(path(200), 1))
     assert res.answer is Answer.YES
     stats = res.stats
     bound = stats.nodes_visited + sum(stats.reductions_by_rule.values())
     assert bound == 200
-    assert calls <= bound
+    assert calls["reduce_instance"] == stats.nodes_visited
+    pairs = list(combinations(range(1, 17), 2))
+    g = im.Graph.build(range(1, 17), random.Random(1).sample(pairs, 30))
+    inst = Instance(g, im.brute_im(g)[0] + 1)
+    calls.clear()
+    res = solve_auto(inst)
+    assert res.answer is Answer.NO
+    branchings = sum(res.stats.branchings_by_rule.values())
+    assert calls["reduce_instance"] == res.stats.nodes_visited
+    assert calls["choose_rule"] == calls["expand"] == branchings > 10
+    calls.clear()
+    res = solve_imbtg(inst)
+    assert res.answer is Answer.NO
+    assert calls["reduce_instance"] == res.stats.nodes_visited > 100
+    assert calls["choose_rule"] == calls["expand"] == 0
 
 
 def test_auto_on_trap_fixture():
@@ -577,12 +595,12 @@ def test_yes_instance_at_budget_boundary_has_collapsed_invariants():
                 is_ = im.brute_is(inst.graph)
                 assert mm == is_ == size == inst.ell
             return
-        reduced, _, _ = reduce_instance(inst)
+        reduced, _, _ = reduce_labels(inst)
         state = node_state(reduced.graph.vertex_count, reduced.ell, depth, budget)
         if state is not None:
             return
-        choice = choose_rule(reduced.graph, decompose(reduced.graph))
-        for dels in expand(reduced.graph, choice):
+        choice = choose_labels(reduced.graph, decompose(reduced.graph))
+        for dels in expand_labels(reduced.graph, choice):
             child = Instance(reduced.graph.delete_vertices(dels), reduced.ell)
             visit(child, depth + 1, budget)
 
@@ -793,16 +811,16 @@ def test_rule_choice_is_unchanged():
         for _ in range(3):
             children = []
             for node in frontier:
-                h = reduce_instance(Instance(node, 1))[0].graph
+                h = reduce_labels(Instance(node, 1))[0].graph
                 if h.vertex_count == 0:
                     continue
-                choice = choose_rule(h, decompose(h))
-                deletions = expand(h, choice)
-                fired[choice.rule.value] += 1
+                rule, actors = choose_labels(h, decompose(h))
+                deletions = expand_labels(h, (rule, actors))
+                fired[rule.value] += 1
                 line = json.dumps(
                     [
-                        choice.rule.value,
-                        sorted(choice.actors.items()),
+                        rule.value,
+                        sorted(actors.items()),
                         [sorted(d, key=label_key) for d in deletions],
                     ]
                 )
