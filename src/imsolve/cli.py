@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .errors import IMSolveError, InvalidSpecError, TooLargeError
 from .gallai_edmonds import audit, decompose
-from .graph import _check_internable, sort_labels
+from .graph import sort_labels
 from .instances import (
     generate,
     read_instance,
@@ -37,7 +37,6 @@ from .instances import (
 from .kernel import Instance
 from .oracle import (
     DEFAULT_CAP,
-    _require_cap,
     brute_is,
     brute_mm,
     classify_tight,
@@ -123,9 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path, ell_override, check=None) -> Instance:
+def _load(path, ell_override) -> Instance:
     text = Path(path).read_text()
-    inst = read_instance(text, check=check)
+    inst = read_instance(text)
     if ell_override is not None:
         inst = Instance(inst.graph, ell_override)
     return inst
@@ -160,25 +159,38 @@ def _answer_exit(answer: Answer, remap: bool) -> int:
     return EXIT_OK
 
 
-def _solve_command(args, command: str, engine: str, solve, check) -> int:
-    """Read the instance, refusing a header that fails ``check``, run
-    ``solve(inst, trace)`` with the ``--trace`` file open and report.
+def _cmd_solve(args) -> int:
+    """Run ``solve`` or ``solve-tg`` with the ``--trace`` file open, and report.
 
-    ``solve`` returns the result and its budget mode; only the
-    decomposition-guided engine has a mode, and only it reports the size of
-    its search in the text output.
+    Only the decomposition-guided engine has a budget mode, and only it
+    reports the size of its search in the text output.
     """
-    inst = _load(args.path, args.ell, check)
+    inst = _load(args.path, args.ell)
+    mode = None if args.command == "solve-tg" else "auto"
+    if mode and args.budget is not None:
+        mode, budget = "fixed", args.budget
+    elif mode and args.oracle_k:
+        g, cap = inst.graph, args.cap
+        budget = max(0, brute_mm(g, cap) + brute_is(g, cap) - 2 * inst.ell)
+        mode = "oracle-k"
     handle, trace = _open_trace(args.trace)
     try:
-        result, mode = solve(inst, trace)
+        if mode is None:
+            result = solve_imbtg(inst, trace=trace)
+        elif mode == "auto":
+            result = solve_auto(inst, trace=trace)
+        else:
+            result = solve_imba(inst, budget, trace=trace)
     finally:
         if handle:
             handle.close()
+    # Twice the exact potential bounds every yes-path, so Exhausted is No.
+    if mode == "oracle-k" and result.answer is Answer.EXHAUSTED:
+        result = SolveResult(Answer.NO, None, result.stats)
     doc = {
-        "command": command,
+        "command": args.command,
         "instance": args.path,
-        "engine": engine,
+        "engine": "imba" if mode else "imbtg",
         "n": inst.graph.vertex_count,
         "m": inst.graph.edge_count,
         "ell": inst.ell,
@@ -199,37 +211,8 @@ def _solve_command(args, command: str, engine: str, solve, check) -> int:
     return _answer_exit(result.answer, args.answer_status)
 
 
-def _cmd_solve(args) -> int:
-    def solve(inst, trace):
-        if args.budget is not None:
-            return solve_imba(inst, args.budget, trace=trace), "fixed"
-        if args.oracle_k:
-            g, cap = inst.graph, args.cap
-            budget = brute_mm(g, cap) + brute_is(g, cap) - 2 * inst.ell
-            result = solve_imba(inst, max(0, budget), trace=trace)
-            # Twice the exact potential bounds every yes-path, so Exhausted is No.
-            if result.answer is Answer.EXHAUSTED:
-                result = SolveResult(Answer.NO, None, result.stats)
-            return result, "oracle-k"
-        return solve_auto(inst, trace=trace), "auto"
-
-    def check(n):
-        _check_internable(n)
-        if args.oracle_k:
-            _require_cap(n, args.cap)
-
-    return _solve_command(args, "solve", "imba", solve, check)
-
-
-def _cmd_solve_tg(args) -> int:
-    def solve(inst, trace):
-        return solve_imbtg(inst, trace=trace), None
-
-    return _solve_command(args, "solve-tg", "imbtg", solve, _check_internable)
-
-
 def _cmd_oracle(args) -> int:
-    inst = _load(args.path, args.ell, lambda n: _require_cap(n, args.cap))
+    inst = _load(args.path, args.ell)
     report = parameters(inst.graph, inst.ell, cap=args.cap)
     doc = {"command": "oracle", "instance": args.path, "budget": report.budget}
     doc.update(asdict(report))
@@ -248,20 +231,22 @@ def _cmd_decompose(args) -> int:
     inst = _load(args.path, None)
     dec = decompose(inst.graph)
     report = audit(inst.graph, dec)
+    d, a, c = sort_labels(dec.d), sort_labels(dec.a), sort_labels(dec.c)
+    components = [sort_labels(comp) for comp in dec.d_components]
     doc = {
         "command": "decompose",
         "instance": args.path,
-        "d": [str(v) for v in sort_labels(dec.d)],
-        "a": [str(v) for v in sort_labels(dec.a)],
-        "c": [str(v) for v in sort_labels(dec.c)],
-        "d_components": [[str(v) for v in sort_labels(c)] for c in dec.d_components],
+        "d": [str(v) for v in d],
+        "a": [str(v) for v in a],
+        "c": [str(v) for v in c],
+        "d_components": [[str(v) for v in comp] for comp in components],
         "audit": {"ok": report.ok, "checks": report.checks, "failures": report.failures},
     }
     lines = [
-        f"d: {sort_labels(dec.d)}",
-        f"a: {sort_labels(dec.a)}",
-        f"c: {sort_labels(dec.c)}",
-        f"d-components: {[sort_labels(c) for c in dec.d_components]}",
+        f"d: {d}",
+        f"a: {a}",
+        f"c: {c}",
+        f"d-components: {components}",
         f"audit: {'pass' if report.ok else 'FAIL'} "
         + " ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in report.checks.items()),
     ]
@@ -338,7 +323,7 @@ def _cmd_bench(args) -> int:
         raise NotADirectoryError(f"not a directory: {args.directory!r}")
     rows = []
     for path in sorted(directory.glob("*.im")):
-        inst = _load(path, None, _check_internable)
+        inst = _load(path, None)
         if args.engine == "tg":
             result = solve_imbtg(inst)
         else:
@@ -370,7 +355,7 @@ def _cmd_bench(args) -> int:
 
 _HANDLERS = {
     "solve": _cmd_solve,
-    "solve-tg": _cmd_solve_tg,
+    "solve-tg": _cmd_solve,
     "oracle": _cmd_oracle,
     "decompose": _cmd_decompose,
     "classify": _cmd_classify,

@@ -31,7 +31,8 @@ from .errors import (
 Label = Hashable
 Edge = tuple
 
-MAX_INTERNED_VERTICES = 1 << 15
+# The one vertex cap, of interning and of both instance readers.
+MAX_VERTICES = 1 << 15
 
 
 def label_key(label):
@@ -279,12 +280,10 @@ def lowest_two(mask: int) -> tuple:
     return low.bit_length() - 1, (mask & -mask).bit_length() - 1
 
 
-def _check_internable(n: int) -> None:
-    """Raise TooLargeError if ``Interned`` would refuse ``n`` vertices."""
-    if n > MAX_INTERNED_VERTICES:
-        raise TooLargeError(
-            f"{n} vertices exceeds the interning cap ({MAX_INTERNED_VERTICES})"
-        )
+def check_vertex_count(n: int) -> None:
+    """Raise TooLargeError if ``n`` vertices are past ``MAX_VERTICES``."""
+    if n > MAX_VERTICES:
+        raise TooLargeError(f"{n} vertices exceeds the vertex cap ({MAX_VERTICES})")
 
 
 class Interned:
@@ -294,13 +293,14 @@ class Interned:
     its neighbours and ``full`` the mask of all vertices.  A vertex set is
     then one int, and the induced subgraph on a mask is ``adj[i] & mask``
     for each of its bits.  The bits alone take about n * n / 16 bytes, so a
-    graph past ``MAX_INTERNED_VERTICES`` raises TooLargeError at once.
+    graph past ``MAX_VERTICES`` raises TooLargeError at once, as a file
+    header past it does in ``read_instance``.
     """
 
     __slots__ = ("labels", "adj", "full")
 
     def __init__(self, graph: Graph):
-        _check_internable(graph.vertex_count)
+        check_vertex_count(graph.vertex_count)
         self.labels = graph.vertices
         bit = {v: 1 << i for i, v in enumerate(self.labels)}
         # The bits of distinct neighbours are distinct powers of two, so

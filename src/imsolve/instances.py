@@ -11,8 +11,8 @@ target rides in the header so an instance is a single file.  Writing is
 canonical (sorted edges, no comments, a final newline), so
 write(read(text)) normalizes.  A canonical file is read in bulk; anything
 else, such as comments, blank lines, other whitespace or CRLF, is read line
-by line, with the same result.  A header that declares more than
-``MAX_VERTICES`` vertices is refused before any vertex is built.
+by line, with the same result.  A header of more than ``MAX_VERTICES``
+(32,768) vertices is refused with TooLargeError before any vertex is built.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ from .errors import (
     NotACliqueError,
     ParseError,
 )
-from .graph import Graph, sort_labels
+from .graph import MAX_VERTICES, Graph, check_vertex_count, sort_labels
 from .kernel import Instance
-
-MAX_VERTICES = 1_000_000
 
 # -- file format --------------------------------------------------------------
 
@@ -50,27 +48,25 @@ _CANONICAL = re.compile(
 )
 
 # Every isolated vertex shares this one: each frozenset() is a new object
-# (216 bytes on Python 3.11), and a header may declare a million vertices.
+# (216 bytes on Python 3.11), and a header may declare 32,768 vertices.
 _NO_NEIGHBOURS = frozenset()
 
 
-def read_instance(text: str, *, check=None) -> Instance:
+def read_instance(text: str) -> Instance:
     """Parse an instance file; raises ParseError / InconsistentHeaderError.
 
     A file in the canonical form that ``write_instance`` emits is read in
     bulk.  Anything else, and a canonical file that fails a check, is read
     line by line, with the same result; that loop alone accepts comments,
     blank lines, other whitespace and CRLF, and raises every error, with
-    its line number.  A header of more than ``MAX_VERTICES`` vertices is a
-    ParseError.  ``check``, when given, is the caller's own size test:
-    both readers call it on the header's vertex count, before any vertex
-    is built, so a command refuses a file past its cap from the header.
+    its line number.  Both readers raise TooLargeError on a header of more
+    than ``MAX_VERTICES`` vertices, before any vertex is built.
     """
-    inst = _read_canonical(text, check)
-    return _read_lines(text, check) if inst is None else inst
+    inst = _read_canonical(text)
+    return _read_lines(text) if inst is None else inst
 
 
-def _read_canonical(text: str, check) -> Instance | None:
+def _read_canonical(text: str) -> Instance | None:
     """The instance of a canonical, valid ``text``, or None.
 
     Endpoints are converted once per distinct string, and checked in bulk.
@@ -79,10 +75,7 @@ def _read_canonical(text: str, check) -> Instance | None:
     if match is None:
         return None
     n, m, ell = map(int, match.groups())
-    if n > MAX_VERTICES:
-        return None
-    if check is not None:
-        check(n)
+    check_vertex_count(n)
     tokens = text.split()
     heads, tails = tokens[6::3], tokens[7::3]
     if len(heads) != m:
@@ -101,7 +94,7 @@ def _read_canonical(text: str, check) -> Instance | None:
     return _instance(n, nbrs, ell)
 
 
-def _read_lines(text: str, check) -> Instance:
+def _read_lines(text: str) -> Instance:
     """The reference reader: one pass over the lines.
 
     Each edge goes straight into the neighbour sets of its endpoints, which
@@ -128,12 +121,7 @@ def _read_lines(text: str, check) -> Instance:
                 raise ParseError("header fields must be integers", lineno) from None
             if n < 0 or m < 0 or ell < 0:
                 raise ParseError("header fields must be nonnegative", lineno)
-            if n > MAX_VERTICES:
-                raise ParseError(
-                    f"header declares {n} vertices, more than {MAX_VERTICES}", lineno
-                )
-            if check is not None:
-                check(n)
+            check_vertex_count(n)
             header = (n, m, ell)
         elif tokens[0] == "e":
             if header is None:

@@ -109,9 +109,9 @@ def test_oracle_cap_exceeded_exit_3(capsys, tmp_path):
 
 def test_hostile_inputs_exit_3(capsys, tmp_path):
     # A path too long for the brute-force recursion, under a cap that
-    # admits it, and headers of more vertices than interning or the
-    # brute-force cap takes, which are refused before a vertex is built: a
-    # million of them took about 280 MB in solve and 97 MB in oracle.
+    # admits it, and headers past the vertex cap, which every command that
+    # reads a file refuses before a vertex is built: a million of them took
+    # about 280 MB in solve, 97 MB in oracle and 1 GB in decompose.
     n = 2100
     long_path = tmp_path / "path.im"
     long_path.write_text(im.write_instance(Instance(path(n), 1)))
@@ -122,15 +122,24 @@ def test_hostile_inputs_exit_3(capsys, tmp_path):
         (["solve", str(long_path), "--oracle-k", "--cap", "3000"], deep),
     ]
     for size in (32769, 1_000_000):
-        huge = tmp_path / f"huge{size}.im"
+        alone = tmp_path / f"huge{size}"
+        alone.mkdir()
+        huge = alone / "huge.im"
         huge.write_text(f"p im {size} 0 1\n")
-        wide = f"error: {size} vertices exceeds the interning cap (32768)\n"
-        capped = f"error: {size} vertices exceeds the brute-force cap (16)\n"
+        message = f"error: {size} vertices exceeds the vertex cap (32768)\n"
         cases += [
-            (["solve", str(huge)], wide),
-            (["solve-tg", str(huge)], wide),
-            (["solve", str(huge), "--oracle-k"], wide),
-            (["oracle", str(huge)], capped),
+            (argv, message)
+            for argv in (
+                ["solve", str(huge)],
+                ["solve-tg", str(huge)],
+                ["solve", str(huge), "--oracle-k"],
+                ["oracle", str(huge)],
+                ["decompose", str(huge)],
+                ["classify", str(huge)],
+                ["reduce-ds", str(huge)],
+                ["reduce-mis", str(huge), "--cliques", "1"],
+                ["bench", str(alone)],
+            )
         ]
     for argv, message in cases:
         tracemalloc.start()
@@ -273,7 +282,7 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert cli.main(["gen", f"cw:u={too_many // 2},w={too_many - too_many // 2}"]) == 2
     huge = tmp_path / "huge.im"
     huge.write_text("p im 1000000000000 0 0\n")
-    assert cli.main(["solve", str(huge)]) == 2
+    assert cli.main(["solve", str(huge)]) == 3  # past the vertex cap
     assert cli.main(["solve", str(tmp_path)]) == 2  # a directory, not a file
     ok = tmp_path / "ok.im"
     ok.write_text(im.write_instance(Instance(cycle(5), 1)))

@@ -14,9 +14,8 @@ from imsolve.errors import (
     UnknownVertexError,
 )
 from imsolve.graph import (
-    MAX_INTERNED_VERTICES,
+    MAX_VERTICES,
     Interned,
-    _check_internable,
     edge,
     label_key,
     sort_labels,
@@ -77,16 +76,12 @@ def test_delete_vertices_identity_and_empty():
 
 
 def test_interning_refuses_a_graph_past_its_cap():
-    # 2**15 + 1 isolated vertices; the check runs before any mask is built,
-    # and, passed to ``read_instance``, before the file's vertices are.
-    text = f"p im {MAX_INTERNED_VERTICES + 1} 0 1\n"
-    g = im.read_instance(text).graph
-    message = r"32769 vertices exceeds the interning cap \(32768\)"
+    # 2**15 + 1 isolated vertices; the check runs before any mask is built.
+    # No file can hold this graph: the readers refuse its header.
+    g = im.Graph.build(range(MAX_VERTICES + 1), [])
+    message = r"32769 vertices exceeds the vertex cap \(32768\)"
     with pytest.raises(TooLargeError, match=message):
         Interned(g)
-    for text in (text, "c\n" + text):  # the bulk reader and the line loop
-        with pytest.raises(TooLargeError, match=message):
-            im.read_instance(text, check=_check_internable)
     with pytest.raises(TooLargeError):
         im.solve_auto(im.Instance(g, 1))
 

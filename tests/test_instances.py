@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -14,8 +15,8 @@ from imsolve.errors import (
     InvalidSpecError,
     NotACliqueError,
     ParseError,
+    TooLargeError,
 )
-from imsolve.graph import MAX_INTERNED_VERTICES, _check_internable
 from imsolve.instances import (
     MAX_VERTICES,
     _read_canonical,
@@ -75,9 +76,8 @@ def test_parse_errors_carry_line_numbers():
         im.read_instance("q something\n")
     with pytest.raises(ParseError):
         im.read_instance("")
-    with pytest.raises(ParseError) as info:
+    with pytest.raises(TooLargeError):
         im.read_instance(f"c too many vertices\np im {MAX_VERTICES + 1} 0 0\n")
-    assert info.value.line == 2
     for text, line in (
         ("c header\np im 2 1\n", 2),  # header shape
         ("p im 2 one 0\n", 1),  # header integer
@@ -106,9 +106,9 @@ def _canonical(n, edges, ell, m=None):
     return f"p im {n} {m} {ell}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
 
 
-def _outcome(read, text, check):
+def _outcome(read, text):
     try:
-        inst = read(text, check=check)
+        inst = read(text)
     except IMSolveError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
     return list(inst.graph._adj.items()), inst.ell
@@ -118,7 +118,7 @@ def _outcome(read, text, check):
 def test_bulk_read_equals_the_line_loop(case):
     n, edges, ell = case
     text = _canonical(n, edges, ell)
-    assert _read_canonical(text, None) is not None
+    assert _read_canonical(text) is not None
     texts = [
         text,
         _canonical(n, edges + [(0, max(n, 1))], ell),
@@ -148,16 +148,32 @@ def test_bulk_read_equals_the_line_loop(case):
             text.replace(first, f"e {u}\t{v}\n"),
         ]
     for mutated in texts:
-        for check in (None, _check_internable):
-            assert _outcome(im.read_instance, mutated, check) == _outcome(
-                _read_lines, mutated, check
-            ), (mutated, check)
-    # Past the interning cap only the refusal is compared: reading 32,769
-    # vertices twice per example would take seconds.
-    wide = _canonical(MAX_INTERNED_VERTICES + 1, edges, ell)
-    assert _outcome(im.read_instance, wide, _check_internable) == _outcome(
-        _read_lines, wide, _check_internable
-    )
+        assert _outcome(im.read_instance, mutated) == _outcome(
+            _read_lines, mutated
+        ), mutated
+
+
+def test_both_readers_share_the_inclusive_vertex_cap():
+    # A leading comment sends the same text through the line loop.
+    at_cap = f"p im {MAX_VERTICES} 0 1\n"
+    assert _read_canonical(at_cap) is not None
+    for text in (at_cap, "c\n" + at_cap):
+        inst = im.read_instance(text)
+        assert inst.graph.vertices == tuple(range(1, MAX_VERTICES + 1))
+        assert inst.graph.edge_count == 0 and inst.ell == 1
+    # One vertex more is refused from the header, before a vertex is built:
+    # reading the 32,768 above peaks near 2.5 MB.
+    past = f"p im {MAX_VERTICES + 1} 0 1\n"
+    for read, text in ((_read_canonical, past), (_read_lines, "c\n" + past)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError) as info:
+                read(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "32769 vertices exceeds the vertex cap (32768)"
+        assert peak < 64 << 10, (read, peak)
 
 
 def test_write_then_read_round_trip():
