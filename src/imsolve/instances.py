@@ -11,8 +11,10 @@ target rides in the header so an instance is a single file.  Writing is
 canonical (sorted edges, no comments, a final newline), so
 write(read(text)) normalizes.  A canonical file is read in bulk; anything
 else, such as comments, blank lines, other whitespace or CRLF, is read line
-by line, with the same result.  A header of more than ``MAX_VERTICES``
-(32,768) vertices is refused with TooLargeError before any vertex is built.
+by line, with the same result.  No file has more than ``MAX_VERTICES``
+(32,768) vertices: a reader refuses a larger header with TooLargeError
+before it builds a vertex, ``write_instance`` refuses a larger graph, and
+``generate`` refuses a spec that could give one before it draws.
 """
 
 from __future__ import annotations
@@ -168,9 +170,12 @@ def write_instance(inst: Instance) -> str:
     """Canonical text for an instance.
 
     Vertices are renumbered 1..n by sorted label, so reading back a file
-    written here reproduces it byte for byte.
+    written here reproduces it byte for byte.  A graph past
+    ``MAX_VERTICES`` raises TooLargeError before anything is formatted:
+    no reader would take its file.
     """
     g = inst.graph
+    check_vertex_count(g.vertex_count)
     index = {v: i for i, v in enumerate(g.vertices, start=1)}
     lines = [f"p im {g.vertex_count} {g.edge_count} {inst.ell}"]
     # edges() yields each pair smaller label first, in label order.
@@ -193,132 +198,98 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
     return Graph.build(labels, edges)
 
 
-# Per generator kind: the keys it takes and the flags it takes.
+# Per generator kind: its keys with their defaults (None: required), and
+# its flags.
 _SPEC_KEYS = {
-    "random": (("n", "p"), ()),
-    "cw": (("u", "w", "p", "nu", "nw"), ("tight",)),
+    "random": ({"n": None, "p": "0.5"}, ()),
+    "cw": ({"u": "1", "w": "1", "p": "0.3", "nu": "1", "nw": "1"}, ("tight",)),
 }
 
 
-def parse_generator_spec(text: str):
-    """Parse the declarative generator form used by the command line.
-
-    Two kinds are understood::
-
-        random:n=8,p=0.5
-        cw:u=2,w=2,p=0.5,nu=1-2,nw=0-2[,tight]
-
-    For ``cw`` the bipartite core is sampled: u/w give the side sizes, p
-    the probability of each extra cross edge on top of a deterministic
-    connecting backbone, and nu/nw the per-vertex pendant and triangle
-    counts (single numbers or lo-hi ranges).  A ``random`` spec with more
-    than ``MAX_VERTICES`` vertices, or a ``cw`` spec whose core alone
-    (u + w) has more, is refused, since no instance file could hold it.
-    So is a key or flag the kind does not take, and a ``cw`` p outside
-    [0, 1].
-    """
-    kind, _, body = text.partition(":")
-    kind = kind.strip()
-    if kind not in _SPEC_KEYS:
-        raise InvalidSpecError(f"unknown generator kind {kind!r}")
-    keys, known_flags = _SPEC_KEYS[kind]
-    options: dict = {}
-    flags = set()
-    if body:
-        for item in body.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" in item:
-                key, _, value = item.partition("=")
-                key = key.strip()
-                if key not in keys:
-                    raise InvalidSpecError(f"a {kind} spec takes no key {key!r}")
-                options[key] = value.strip()
-            elif item in known_flags:
-                flags.add(item)
-            else:
-                raise InvalidSpecError(f"a {kind} spec takes no flag {item!r}")
-    if kind == "random":
-        try:
-            n = int(options["n"])
-            p = float(options.get("p", 0.5))
-        except (KeyError, ValueError) as exc:
-            raise InvalidSpecError(f"bad random spec {text!r}: {exc}") from None
-        if n < 0:
-            raise InvalidSpecError("n must be nonnegative")
-        if n > MAX_VERTICES:
-            raise InvalidSpecError(f"n = {n} is more than {MAX_VERTICES} vertices")
-        return ("random", {"n": n, "p": p})
+def _count(key: str, value: str, ranged: bool = False) -> tuple:
+    """``(lo, hi, drawn)`` of a count ``k``, ``(k, k, False)``, or where
+    ``ranged`` of a range ``lo-hi``, drawn once per vertex, even ``1-1``."""
+    if value.startswith("-"):
+        raise InvalidSpecError(f"{key} must be nonnegative, got {value}")
+    lo, dash, hi = value.partition("-") if ranged else (value, "", "")
     try:
-        num_u = int(options.get("u", 1))
-        num_w = int(options.get("w", 1))
-        p = float(options.get("p", 0.3))
-        nu = _parse_count_range("nu", options.get("nu", "1"))
-        nw = _parse_count_range("nw", options.get("nw", "1"))
-    except ValueError as exc:
-        raise InvalidSpecError(f"bad cw spec {text!r}: {exc}") from None
-    for key, size in (("u", num_u), ("w", num_w)):
-        if size < 0:
-            raise InvalidSpecError(f"{key} must be nonnegative, got {size}")
-    if not 0 <= p <= 1:
-        raise InvalidSpecError(f"edge probability must be in [0, 1], got {p}")
-    if num_u + num_w > MAX_VERTICES:
-        raise InvalidSpecError(
-            f"u + w = {num_u + num_w} is more than {MAX_VERTICES} vertices"
-        )
-    return (
-        "cw",
-        {
-            "u": num_u,
-            "w": num_w,
-            "p": p,
-            "nu": nu,
-            "nw": nw,
-            "tight": "tight" in flags,
-        },
-    )
-
-
-def _parse_count_range(key: str, text: str):
-    """A count ``k`` or a range ``lo-hi``; a negative count is refused by name."""
-    if text.startswith("-"):
-        raise InvalidSpecError(f"{key} must be nonnegative, got {text}")
-    if "-" in text:
-        lo, _, hi = text.partition("-")
-        return (int(lo), int(hi))
-    return int(text)
-
-
-def _resolve_count(value, rng):
-    if isinstance(value, tuple):
-        lo, hi = value
-        if lo > hi:
-            raise InvalidSpecError(f"empty count range {value}")
-        return rng.randint(lo, hi)
-    return value
+        lo, hi = int(lo), int(hi if dash else lo)
+    except ValueError:
+        raise InvalidSpecError(f"{key}={value} is not a count") from None
+    if lo > hi:
+        raise InvalidSpecError(f"{key}={value} is an empty range")
+    return lo, hi, bool(dash)
 
 
 def generate(spec_text: str, seed: int = 0) -> Graph:
     """Generate a graph from a declarative spec string, deterministically.
 
-    A ``cw`` spec (see ``parse_generator_spec``) gives a Cameron-Walker
-    graph, with matching number = induced matching number: pendant vertices
-    ``<u>_p<i>`` on the core's u side, pendant triangles ``<w>_t<i>a``,
-    ``<w>_t<i>b`` on its w side.  ``tight`` takes one pendant per u and a
-    triangle or more per w, so the independence number is equal too.  One
-    generator samples the cross edges; a second, seeded from the first,
-    draws the counts, the u side first, each side in label order.
+    ``random:n=8,p=0.5`` is ``gen_random(n, p, seed)``.
+    ``cw:u=2,w=2,p=0.3,nu=1-2,nw=0-2[,tight]`` is a Cameron-Walker graph,
+    with matching number = induced matching number: a connected bipartite
+    core (a backbone, plus each other cross edge with probability p), then
+    ``nu`` pendant vertices ``<u>_p<i>`` on each vertex of the u side and
+    ``nw`` pendant triangles ``<w>_t<i>a``, ``<w>_t<i>b`` on each vertex of
+    the w side; a count is a number or a range ``lo-hi``.  ``tight`` takes
+    one pendant per u and a triangle or more per w, so the independence
+    number is equal too.  One generator samples the cross edges; a second,
+    seeded from the first, draws the counts, the u side first, each side in
+    label order.
+
+    The whole spec is checked before any draw, so a spec is refused
+    (InvalidSpecError) at every seed or at none, and no accepted spec can
+    give more than ``MAX_VERTICES`` vertices.
     """
-    kind, opts = parse_generator_spec(spec_text)
+    kind, _, body = spec_text.partition(":")
+    kind = kind.strip()
+    if kind not in _SPEC_KEYS:
+        raise InvalidSpecError(f"unknown generator kind {kind!r}")
+    defaults, known_flags = _SPEC_KEYS[kind]
+    opts, flags = dict(defaults), set()
+    for item in body.split(","):
+        key, eq, value = (part.strip() for part in item.partition("="))
+        if eq and key in opts:
+            opts[key] = value
+        elif eq:
+            raise InvalidSpecError(f"a {kind} spec takes no key {key!r}")
+        elif key in known_flags:
+            flags.add(key)
+        elif key:
+            raise InvalidSpecError(f"a {kind} spec takes no flag {key!r}")
+    try:
+        p = float(opts["p"])
+    except ValueError:
+        raise InvalidSpecError(f"p={opts['p']} is not a number") from None
+    if not 0 <= p <= 1:
+        raise InvalidSpecError(f"edge probability must be in [0, 1], got {p}")
     if kind == "random":
-        return gen_random(opts["n"], opts["p"], seed)
-    num_u, num_w = opts["u"], opts["w"]
-    k = min(num_u, num_w)
-    if num_u + num_w == 0:
-        raise InvalidSpecError("the core must have at least one vertex")
-    if k == 0 and num_u + num_w > 1:
-        raise InvalidSpecError("the core must be connected")
+        if opts["n"] is None:
+            raise InvalidSpecError("a random spec needs the key 'n'")
+        size, _, _ = _count("n", opts["n"])
+    else:
+        num_u, _, _ = _count("u", opts["u"])
+        num_w, _, _ = _count("w", opts["w"])
+        nu = _count("nu", opts["nu"], ranged=True)
+        nw = _count("nw", opts["nw"], ranged=True)
+        k = min(num_u, num_w)
+        if num_u + num_w == 0:
+            raise InvalidSpecError("the core must have at least one vertex")
+        if k == 0 and num_u + num_w > 1:
+            raise InvalidSpecError("the core must be connected")
+        if num_u and nu[0] < 1:
+            raise InvalidSpecError(f"nu={opts['nu']} must be at least 1 when u > 0")
+        if "tight" in flags and num_u and nu[1] != 1:
+            raise InvalidSpecError(f"nu={opts['nu']} must be 1 with tight")
+        if "tight" in flags and num_w and nw[0] < 1:
+            raise InvalidSpecError(f"nw={opts['nw']} must be at least 1 with tight")
+        size = num_u * (1 + nu[1]) + num_w * (1 + 2 * nw[1])
+    if size > MAX_VERTICES:
+        raise InvalidSpecError(
+            f"{spec_text!r} can give {size} vertices, more than the vertex cap "
+            f"({MAX_VERTICES})"
+        )
+    if kind == "random":
+        return gen_random(size, p, seed)
     rng = random.Random(seed)
     u_side = [f"u{i}" for i in range(1, num_u + 1)]
     w_side = [f"w{i}" for i in range(1, num_w + 1)]
@@ -330,28 +301,18 @@ def generate(spec_text: str, seed: int = 0) -> Graph:
         edges.update((u_side[min(j + 1, k - 1)], w) for j, w in enumerate(w_side))
     for u in u_side:
         for w in w_side:
-            if rng.random() < opts["p"]:
+            if rng.random() < p:
                 edges.add((u, w))
     counts = random.Random(rng.randrange(2**32))
+
+    def draw(lo, hi, drawn):
+        return counts.randint(lo, hi) if drawn else lo
+
     edges = sorted(edges)
     for u in sort_labels(u_side):
-        count = _resolve_count(opts["nu"], counts)
-        if count < 1:
-            raise InvalidSpecError(f"{u!r} needs at least one pendant vertex")
-        if opts["tight"] and count != 1:
-            raise InvalidSpecError(
-                f"tight recipes attach exactly one pendant vertex, got "
-                f"{count} at {u!r}"
-            )
-        edges += [(u, f"{u}_p{i}") for i in range(1, count + 1)]
+        edges += [(u, f"{u}_p{i}") for i in range(1, draw(*nu) + 1)]
     for w in sort_labels(w_side):
-        count = _resolve_count(opts["nw"], counts)
-        if opts["tight"] and count < 1:
-            raise InvalidSpecError(
-                f"tight recipes attach at least one pendant triangle, got "
-                f"{count} at {w!r}"
-            )
-        for i in range(1, count + 1):
+        for i in range(1, draw(*nw) + 1):
             ta, tb = f"{w}_t{i}a", f"{w}_t{i}b"
             edges += [(w, ta), (w, tb), (ta, tb)]
     # Each generated vertex ends an edge, and is new: core labels hold no "_".

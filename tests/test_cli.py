@@ -237,6 +237,31 @@ def test_reduce_mis(capsys, tmp_path):
         assert dest.read_text() == out
 
 
+def test_writers_refuse_what_readers_refuse(capsys, tmp_path):
+    # No command writes a file past the vertex cap: gen refuses the spec
+    # (exit 2) and reduce-ds its 32,770-vertex subdivision of C_16385
+    # (exit 3), and --out is left unwritten.
+    src = tmp_path / "c16385.im"
+    src.write_text(im.write_instance(Instance(cycle(16385), 1)))
+    dest = tmp_path / "out.im"
+    for argv, code, message in (
+        (
+            ["gen", "cw:u=1,w=0,nu=32768"],
+            2,
+            "error: 'cw:u=1,w=0,nu=32768' can give 32769 vertices, more than "
+            "the vertex cap (32768)\n",
+        ),
+        (
+            ["reduce-ds", str(src)],
+            3,
+            "error: 32770 vertices exceeds the vertex cap (32768)\n",
+        ),
+    ):
+        assert cli.main(argv + ["--out", str(dest)]) == code
+        assert capsys.readouterr() == ("", message)
+        assert not dest.exists()
+
+
 def test_bench_table(capsys, files):
     code, doc = run_json(capsys, ["bench", files["dir"]])
     assert code == 0

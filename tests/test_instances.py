@@ -17,13 +17,7 @@ from imsolve.errors import (
     ParseError,
     TooLargeError,
 )
-from imsolve.instances import (
-    MAX_VERTICES,
-    _read_canonical,
-    _read_lines,
-    generate,
-    parse_generator_spec,
-)
+from imsolve.instances import MAX_VERTICES, _read_canonical, _read_lines, generate
 from imsolve.kernel import Instance
 from imsolve.oracle import NOT_CAMERON_WALKER, NOT_TIGHT, classify_tight
 
@@ -161,6 +155,7 @@ def test_both_readers_share_the_inclusive_vertex_cap():
         inst = im.read_instance(text)
         assert inst.graph.vertices == tuple(range(1, MAX_VERTICES + 1))
         assert inst.graph.edge_count == 0 and inst.ell == 1
+        assert im.write_instance(inst) == at_cap
     # One vertex more is refused from the header, before a vertex is built:
     # reading the 32,768 above peaks near 2.5 MB.
     past = f"p im {MAX_VERTICES + 1} 0 1\n"
@@ -174,6 +169,10 @@ def test_both_readers_share_the_inclusive_vertex_cap():
             tracemalloc.stop()
         assert str(info.value) == "32769 vertices exceeds the vertex cap (32768)"
         assert peak < 64 << 10, (read, peak)
+    # The writer refuses what the readers refuse, before it formats a line.
+    with pytest.raises(TooLargeError) as info:
+        im.write_instance(Instance(build(MAX_VERTICES + 1), 1))
+    assert str(info.value) == "32769 vertices exceeds the vertex cap (32768)"
 
 
 def test_write_then_read_round_trip():
@@ -232,16 +231,12 @@ def test_cw_spec_validation():
     for spec, message in (
         ("cw:u=0,w=0", "the core must have at least one vertex"),
         ("cw:u=2,w=0", "the core must be connected"),
-        ("cw:u=1,w=1,nu=0", "'u1' needs at least one pendant vertex"),
-        (
-            "cw:u=1,w=1,nu=2,nw=1,tight",
-            "tight recipes attach exactly one pendant vertex, got 2 at 'u1'",
-        ),
-        (
-            "cw:u=1,w=1,nu=1,nw=0,tight",
-            "tight recipes attach at least one pendant triangle, got 0 at 'w1'",
-        ),
-        ("cw:u=1,w=1,nw=3-1", "empty count range (3, 1)"),
+        ("cw:u=1,w=1,nu=0", "nu=0 must be at least 1 when u > 0"),
+        ("cw:u=1,w=1,nu=2,nw=1,tight", "nu=2 must be 1 with tight"),
+        ("cw:u=1,w=1,nu=1,nw=0,tight", "nw=0 must be at least 1 with tight"),
+        ("cw:u=1,w=1,nw=3-1", "nw=3-1 is an empty range"),
+        ("cw:u=1,w=1,nu=x", "nu=x is not a count"),
+        ("cw:u=1,w=1,p=x", "p=x is not a number"),
     ):
         with pytest.raises(InvalidSpecError) as info:
             generate(spec)
@@ -335,16 +330,16 @@ def test_generator_backbone_with_more_u_than_w():
         assert g.vertex_count == 6 + sum(pendants) + 2 * sum(triangles)
 
 
-def test_parse_generator_spec_errors():
+def test_generate_spec_errors(monkeypatch):
     with pytest.raises(InvalidSpecError):
-        parse_generator_spec("mystery:n=3")
+        generate("mystery:n=3")
     with pytest.raises(InvalidSpecError):
-        parse_generator_spec("random:p=0.5")  # n is required
+        generate("random:p=0.5")  # n is required
     too_many = MAX_VERTICES + 1
     with pytest.raises(InvalidSpecError):
-        parse_generator_spec(f"random:n={too_many},p=0.5")
+        generate(f"random:n={too_many},p=0.5")
     with pytest.raises(InvalidSpecError):
-        parse_generator_spec(f"cw:u={too_many - 5},w=5")
+        generate(f"cw:u={too_many - 5},w=5")
     for bad in (
         "random:n=8,q=0.9",  # unknown key
         "random:n=8,tight",  # random takes no flag
@@ -354,29 +349,86 @@ def test_parse_generator_spec_errors():
         "cw:u=2,w=2,p=-0.1",
     ):
         with pytest.raises(InvalidSpecError):
-            parse_generator_spec(bad)
+            generate(bad)
     with pytest.raises(InvalidSpecError, match="u must be nonnegative"):
-        parse_generator_spec("cw:u=-5,w=1,nw=1")
+        generate("cw:u=-5,w=1,nw=1")
     with pytest.raises(InvalidSpecError, match="w must be nonnegative"):
-        parse_generator_spec("cw:u=2,w=-3")
+        generate("cw:u=2,w=-3")
     with pytest.raises(InvalidSpecError, match="nu must be nonnegative, got -1"):
-        parse_generator_spec("cw:u=1,w=1,nu=-1")
+        generate("cw:u=1,w=1,nu=-1")
     with pytest.raises(InvalidSpecError, match="nw must be nonnegative, got -2"):
-        parse_generator_spec("cw:u=1,w=1,nw=-2")
+        generate("cw:u=1,w=1,nw=-2")
     with pytest.raises(InvalidSpecError, match="'q'"):
-        parse_generator_spec("random:n=8,q=0.9")
+        generate("random:n=8,q=0.9")
     with pytest.raises(InvalidSpecError, match="'tigth'"):
-        parse_generator_spec("cw:u=2,w=2,nu=1,nw=1,tigth")
-    kind, opts = parse_generator_spec("cw:u=2,w=2,p=1,nu=1,nw=1,tight")
-    assert kind == "cw" and opts["p"] == 1 and opts["tight"]
-    kind, _ = parse_generator_spec(f"random:n={MAX_VERTICES},p=0")
-    assert kind == "random"
-    kind, opts = parse_generator_spec(f"cw:u={MAX_VERTICES - 5},w=5")
-    assert kind == "cw" and opts["u"] + opts["w"] == MAX_VERTICES
-    kind, opts = parse_generator_spec("random:n=6,p=0.25")
-    assert kind == "random" and opts == {"n": 6, "p": 0.25}
-    # An empty item between commas is skipped.
-    assert parse_generator_spec("random:n=3,,p=0.5") == ("random", {"n": 3, "p": 0.5})
+        generate("cw:u=2,w=2,nu=1,nw=1,tigth")
+    # A random spec's p is checked with the spec, with gen_random's message.
+    with pytest.raises(InvalidSpecError, match=r"must be in \[0, 1\], got 2.0"):
+        generate("random:n=3,p=2")
+    # At p = 1 the core is complete: K_{2,2}, two pendants, two triangles.
+    g = generate("cw:u=2,w=2,p=1,nu=1,nw=1,tight")
+    assert (g.vertex_count, g.edge_count) == (10, 12)
+    for seed in range(3):
+        assert generate("random:n=6,p=0.25", seed) == im.gen_random(6, 0.25, seed)
+        # An empty item between commas is skipped.
+        assert generate("random:n=3,,p=0.5", seed) == im.gen_random(3, 0.5, seed)
+    # The largest random spec is accepted; drawing its 536M pairs is not
+    # the point, so a stub stands in for gen_random.
+    calls = []
+    monkeypatch.setattr("imsolve.instances.gen_random", lambda *a: calls.append(a))
+    generate(f"random:n={MAX_VERTICES},p=0", seed=4)
+    assert calls == [(MAX_VERTICES, 0.0, 4)]
+
+
+def test_generate_stays_within_the_vertex_cap(monkeypatch):
+    # The bound counts every vertex at the largest draws, not only the core.
+    g = generate(f"cw:u=1,w=0,nu={MAX_VERTICES - 1}")
+    assert g.vertex_count == MAX_VERTICES
+    monkeypatch.setattr("imsolve.instances.random", None)  # any draw fails
+    for spec, size in (
+        (f"cw:u=1,w=0,nu={MAX_VERTICES}", MAX_VERTICES + 1),
+        (f"cw:u=2,w=2,nu=1-{MAX_VERTICES // 2}", MAX_VERTICES + 8),
+        (f"cw:u=1,w=1,nw=0-{MAX_VERTICES // 2}", MAX_VERTICES + 3),
+    ):
+        with pytest.raises(InvalidSpecError) as info:
+            generate(spec)
+        assert str(info.value) == (
+            f"{spec!r} can give {size} vertices, more than the vertex cap (32768)"
+        )
+
+
+def test_spec_outcome_does_not_depend_on_the_seed():
+    # Each spec is accepted at every seed or refused at every seed, with one
+    # message: a range is checked at its ends, not at its draws.
+    refused = (
+        "cw:u=1,w=1,nu=1-2,tight",
+        "cw:u=2,w=2,p=0.5,nu=1-2,nw=0-2,tight",
+        "cw:u=2,w=2,nu=0-1",
+        "cw:u=0,w=1,nu=3-1",
+        "cw:u=1,w=0,nu=32768",
+        "random:n=3,p=2",
+        "cw:u=2,w=2,nu=1,nw=0-2,tight",
+    )
+    accepted = (
+        "cw:u=2,w=2,p=0.5,nu=1-2,nw=0-2",
+        "cw:u=2,w=2,p=0.5,nu=1,nw=1-2,tight",
+        "cw:u=1,w=1,nu=1-1,nw=1-1,tight",
+        "cw:u=0,w=1,nu=0-5,nw=0-2",  # no u side: nu may reach 0
+        "cw:u=1,w=0,nu=1,nw=0,tight",  # no w side: nw may be 0
+        "cw:u=3,w=3,p=0.3,nu=2-3,nw=0-1",
+        "cw:u=4,w=2,p=0,nu=1-2,nw=0-2",
+        "random:n=12,p=0.3",
+    )
+    for spec in refused + accepted:
+        outcomes = set()
+        for seed in range(20):
+            try:
+                generate(spec, seed)
+                outcomes.add("accepted")
+            except InvalidSpecError as exc:
+                outcomes.add(str(exc))
+        assert len(outcomes) == 1, (spec, outcomes)
+        assert (outcomes == {"accepted"}) == (spec in accepted), (spec, outcomes)
 
 
 # -- dominating-set reduction ---------------------------------------------------
