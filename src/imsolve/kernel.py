@@ -213,12 +213,17 @@ class Answer(str, Enum):
 
 def node_state(n: int, ell: int, depth: int, budget: int) -> Answer | None:
     """How a reduced node with ``n`` vertices closes, or None while it is
-    open: yes at target 0, no with too few vertices left, exhausted at the
-    budget, in that order, so a solution at the budget boundary is still
-    reported."""
+    open: yes at target 0, no at ``n <= 2*ell``, exhausted at the budget,
+    in that order, so a solution at the budget boundary is still reported.
+
+    The No test is sound at ``n == 2*ell`` because the node is reduced: an
+    induced matching of size ``ell`` would cover all its vertices with no
+    other edge between its edges, so the graph would be ``ell`` isolated
+    edges, which the isolated-edge rule deletes in either reduction mode.
+    """
     if ell == 0:
         return Answer.YES
-    if n < 2 * ell:
+    if n <= 2 * ell:
         return Answer.NO
     if depth >= budget:
         return Answer.EXHAUSTED

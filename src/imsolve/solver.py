@@ -15,7 +15,7 @@ One depth-first search, run on an explicit stack, has three entry points:
   the search depth by the branching budget.
 
 * ``solve_auto``: the same search, definitive.  Every branching deletes a
-  vertex, so one search at the budget ``n - 2*ell + 1`` can never be
+  vertex, so one search at the budget ``n - 2*ell`` can never be
   truncated, and its No is final.  This is the one search that prunes:
   the matching bound (a node whose maximum matching is below the target)
   and a memo of the reduced vertex sets already proven No are sound No
@@ -25,7 +25,11 @@ One depth-first search, run on an explicit stack, has three entry points:
 
 * ``solve_imbtg``: the simple below-half-the-vertices algorithm, used for
   cross-validation.  Degree-based reductions only, one 3-way branching
-  rule, and the same definitive depth bound, unpruned.
+  rule, and the same definitive depth bound, unpruned: at most
+  ``3**(n - 2*ell)`` leaves, the ``9**(n/2 - ell)`` of Moser and
+  Thilikos.
+
+A reduced node closes as No once ``n <= 2*ell`` (see ``kernel.node_state``).
 
 Answers are Yes (with a verified certificate), No, or Exhausted when the
 budget truncated the search without finding a solution; only
@@ -342,9 +346,9 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
     cap that does not close is Exhausted.  ``budget=None`` asks
     for a definitive answer: every child of every branching rule deletes at
     least one vertex and keeps the target, and no reduction raises
-    ``n - 2*ell``, so at depth ``n - 2*ell + 1`` (of the input) the No test
-    ``n < 2*ell`` has closed every node.  The search then runs at that
-    budget, and a node exhausted there is a bug and raises.
+    ``n - 2*ell``, so at depth ``n - 2*ell`` (of the input) a node has
+    ``n <= 2*ell`` and the Yes or No test has closed it.  The search then
+    runs at that budget, and a node exhausted there is a bug and raises.
 
     ``naive`` selects the simple engine: no pendant-triangle reduction and
     the 3-way branch on the first vertex of degree at least two.  Otherwise
@@ -393,7 +397,7 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
     adj, labels = bits.adj, bits.labels
     definitive = budget is None
     if definitive:
-        budget = max(0, len(labels) - 2 * inst.ell + 1)
+        budget = max(0, len(labels) - 2 * inst.ell)
     prune = definitive and not naive
     naive_name = Rule.NAIVE.value
     stats = SearchStats()
@@ -474,7 +478,7 @@ def _search(inst: Instance, trace, budget=None, *, naive=False) -> SolveResult:
             stack.append((live, ell, children, harvested))
     if exhausted and definitive:
         raise AssertionError(
-            "the depth bound n - 2*ell + 1 can never truncate; this is a bug"
+            "the depth bound n - 2*ell can never truncate; this is a bug"
         )
     return SolveResult(Answer.EXHAUSTED if exhausted else Answer.NO, None, stats)
 
@@ -498,11 +502,11 @@ def solve_imba(inst: Instance, budget: int, *, trace=None) -> SolveResult:
 def solve_auto(inst: Instance, *, trace=None) -> SolveResult:
     """Definitive Yes/No from one exhaustive decomposition-guided search.
 
-    The search runs once, at the budget ``n - 2*ell + 1``, which no path
-    can reach, so its No is final; and since nothing truncates it, it
-    prunes (see ``_search``).  Pruning cuts only No subtrees, so the answer
-    and the certificate are those of ``solve_imba`` at that budget; the
-    node count can only fall.
+    The search runs once, at the budget ``n - 2*ell``, where every node
+    has closed as Yes or No, so its No is final; and since nothing
+    truncates it, it prunes (see ``_search``).  Pruning cuts only No
+    subtrees, so the answer and the certificate are those of
+    ``solve_imba`` at that budget; the node count can only fall.
     """
     return _search(inst, trace)
 
@@ -511,8 +515,10 @@ def solve_imbtg(inst: Instance, *, trace=None) -> SolveResult:
     """The simple solver for the below-half-the-vertices parameterization.
 
     Degree-based reductions only and one naive 3-way branching rule, run
-    once at the depth bound ``n - 2*ell + 1`` taken from the input; within
+    once at the depth bound ``n - 2*ell`` taken from the input; within
     that bound every leaf closes as Yes or No, so the answer is always
-    definitive.  The search is unpruned.
+    definitive.  The tree therefore has at most ``3**(n - 2*ell) =
+    9**(n/2 - ell)`` leaves, the bound of Moser and Thilikos's algorithm.
+    The search is unpruned.
     """
     return _search(inst, trace, naive=True)

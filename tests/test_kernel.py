@@ -19,8 +19,10 @@ from imsolve.kernel import (
 from conftest import (
     all_labeled_graphs,
     build,
+    complete,
     cycle,
     mixed_labels,
+    path,
     paw_with_tail,
     random_graphs,
     reduce_labels,
@@ -298,7 +300,34 @@ def test_scan_of_a_deleted_vertex_neighbours_finds_every_feature():
 def test_node_state_order():
     assert node_state(5, 0, 0, 0) is Answer.YES
     assert node_state(3, 2, 0, 9) is Answer.NO
+    assert node_state(4, 2, 0, 9) is Answer.NO
     assert node_state(5, 2, 0, 0) is Answer.EXHAUSTED
     assert node_state(5, 2, 0, 1) is None
     # the yes check precedes the budget check
     assert node_state(0, 0, 5, 0) is Answer.YES
+
+
+def test_reduced_graphs_have_no_induced_matching_on_half_their_vertices():
+    # The No test n <= 2*ell rests on this: an induced matching covering
+    # every vertex of a graph makes it isolated edges, which both reduction
+    # modes delete, so a reduced nonempty graph has 2*im < n.
+    checked = 0
+    for g in random_graphs(4000, max_n=11, seed0=5000):
+        bits = Interned(g)
+        for pendant_triangles in (False, True):
+            live = reduce_instance(bits.adj, bits.full, 1, pendant_triangles)[0]
+            if live:
+                h = g.delete_vertices([bits.labels[i] for i in indices(bits.full & ~live)])
+                assert 2 * im.brute_im(h)[0] < live.bit_count()
+                checked += 1
+    assert checked >= 5000
+
+
+def test_graphs_on_twice_the_target_close_at_the_root():
+    # C_4, K_4 and P_4 are reduced, with 4 vertices and no induced matching
+    # of size 2, so every engine answers No at the root without branching.
+    for g in (cycle(4), complete(4), path(4)):
+        inst = Instance(g, 2)
+        for res in (im.solve_auto(inst), im.solve_imbtg(inst), im.solve_imba(inst, 0)):
+            assert res.answer is Answer.NO
+            assert res.stats.nodes_visited == 1
